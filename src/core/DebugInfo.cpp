@@ -7,6 +7,8 @@
 #include "core/DebugInfo.h"
 
 #include "core/Classifier.h"
+#include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <fstream>
 #include <sstream>
@@ -73,80 +75,74 @@ std::string renderType(const VarInfo &VI) {
   return S;
 }
 
-/// Renders the location a variable occupies at one address.  DWARF
-/// analogue in the comment on each arm.
-std::string locationAt(const MachineFunction &MF, VarId V,
-                       std::uint32_t Addr) {
-  auto It = MF.Storage.find(V);
-  if (It == MF.Storage.end() || It->second.K == VarStorage::Kind::None)
-    return "<optimized-out>"; // Empty DW_AT_location.
-  const VarStorage &St = It->second;
-  switch (St.K) {
-  case VarStorage::Kind::InReg: {
-    // DW_OP_regN, gated on the live-range residence bits: outside the
-    // live range the register holds unrelated recycled values.
-    auto RIt = MF.ResidentAt.find(V);
-    if (RIt != MF.ResidentAt.end() && Addr < RIt->second.size() &&
-        RIt->second.test(Addr))
-      return "reg " + St.R.str();
-    return "<optimized-out>";
-  }
-  case VarStorage::Kind::Frame:
-    // DW_OP_fbreg <slot> — frame homes are valid for the whole function.
-    return "frame+" + std::to_string(St.Frame);
-  case VarStorage::Kind::GlobalMem:
-    // DW_OP_addr <absolute word address>.
-    return "addr+" + std::to_string(St.GlobalAddr);
-  case VarStorage::Kind::None:
-    break;
-  }
-  return "<optimized-out>";
+/// Emits one `{"lo":..,"hi":..,"loc":".."}` range of a location list.
+void emitLocation(std::ostringstream &Out, bool &First, std::uint32_t Lo,
+                  std::uint32_t Hi, const std::string &Loc) {
+  if (!First)
+    Out << ",";
+  First = false;
+  Out << "{\"lo\":" << Lo << ",\"hi\":" << Hi << ",\"loc\":\"";
+  jsonEscape(Out, Loc);
+  Out << "\"}";
 }
 
-/// Emits `[{"lo":..,"hi":..,"loc":".."}, ...]` by coalescing a
-/// per-address location string into maximal half-open runs.  The runs
-/// are monotone, non-overlapping, and cover [0, N) by construction.
+/// Emits a variable's location list `[{"lo":..,"hi":..,"loc":".."}, ...]`:
+/// maximal half-open runs of one location, monotone, non-overlapping,
+/// and covering [0, N).  DWARF analogue in the comment on each arm.
 void emitLocationList(std::ostringstream &Out, const MachineFunction &MF,
                       VarId V, std::uint32_t N) {
+  static const std::string OptimizedOut = "<optimized-out>";
   Out << "[";
-  bool FirstRange = true;
-  std::uint32_t Lo = 0;
-  std::string Cur;
-  for (std::uint32_t A = 0; A <= N; ++A) {
-    std::string Loc = A < N ? locationAt(MF, V, A) : std::string();
-    if (A == 0) {
-      Cur = Loc;
-      continue;
+  bool First = true;
+  auto It = MF.Storage.find(V);
+  const VarStorage *St = It == MF.Storage.end() ? nullptr : &It->second;
+  if (N == 0) {
+    // No addresses, no ranges.
+  } else if (St && St->K == VarStorage::Kind::InReg) {
+    // DW_OP_regN, gated on the live-range residence bits: outside the
+    // live range the register holds unrelated recycled values.  The list
+    // alternates between runs of set and clear bits.
+    const std::string InReg = "reg " + St->R.str();
+    auto RIt = MF.ResidentAt.find(V);
+    const BitVector *Res = RIt == MF.ResidentAt.end() ? nullptr : &RIt->second;
+    auto Resident = [&](std::uint32_t A) {
+      return Res && A < Res->size() && Res->test(A);
+    };
+    std::uint32_t Lo = 0;
+    while (Lo < N) {
+      const bool Set = Resident(Lo);
+      std::uint32_t Hi = Lo + 1;
+      while (Hi < N && Resident(Hi) == Set)
+        ++Hi;
+      emitLocation(Out, First, Lo, Hi, Set ? InReg : OptimizedOut);
+      Lo = Hi;
     }
-    if (A < N && Loc == Cur)
-      continue;
-    if (!FirstRange)
-      Out << ",";
-    FirstRange = false;
-    Out << "{\"lo\":" << Lo << ",\"hi\":" << A << ",\"loc\":\"";
-    jsonEscape(Out, Cur);
-    Out << "\"}";
-    Lo = A;
-    Cur = Loc;
+  } else if (St && St->K == VarStorage::Kind::Frame) {
+    // DW_OP_fbreg <slot> — frame homes are valid for the whole function.
+    emitLocation(Out, First, 0, N, "frame+" + std::to_string(St->Frame));
+  } else if (St && St->K == VarStorage::Kind::GlobalMem) {
+    // DW_OP_addr <absolute word address>.
+    emitLocation(Out, First, 0, N, "addr+" + std::to_string(St->GlobalAddr));
+  } else {
+    emitLocation(Out, First, 0, N, OptimizedOut); // Empty DW_AT_location.
   }
   Out << "]";
 }
 
 /// Emits availability ranges `[{"lo":..,"hi":..}, ...]`: the maximal
 /// half-open address runs where \p Avail is set.
-void emitAvailability(std::ostringstream &Out,
-                      const std::vector<bool> &Avail) {
+void emitAvailability(std::ostringstream &Out, const BitVector &Avail) {
   Out << "[";
   bool FirstRange = true;
-  std::uint32_t N = static_cast<std::uint32_t>(Avail.size());
+  const std::uint32_t N = Avail.size();
   std::uint32_t A = 0;
   while (A < N) {
-    if (!Avail[A]) {
+    if (!Avail.test(A)) {
       ++A;
       continue;
     }
     std::uint32_t Lo = A;
-    while (A < N && Avail[A])
+    while (A < N && Avail.test(A))
       ++A;
     if (!FirstRange)
       Out << ",";
@@ -180,18 +176,16 @@ void emitFunction(std::ostringstream &Out, const MachineModule &MM,
   Out << "],\"variables\":[";
 
   // Availability comes from the classifier itself — the same dataflow
-  // over markers and residence bits that answers interactive queries —
-  // swept over every address.  classifyAll shares the per-address
-  // solution across the function's variables.
+  // over markers and residence bits, and the same transfer functions,
+  // that answer interactive queries — in one forward walk per block.
   Classifier C(MF, Info);
+  AvailabilitySweep Avail = C.availability(FI.Locals);
+  static StatCounter &Addresses = Stats::counter("debuginfo.addresses");
+  static StatCounter &Fallbacks =
+      Stats::counter("debuginfo.fallback_classifications");
+  Addresses.add(N);
+  Fallbacks.add(Avail.Fallbacks);
   First = true;
-  std::vector<std::vector<bool>> Avail(FI.Locals.size(),
-                                       std::vector<bool>(N, false));
-  for (std::uint32_t A = 0; A < N; ++A) {
-    std::vector<Classification> Cs = C.classifyAll(A, FI.Locals);
-    for (std::size_t I = 0; I < FI.Locals.size(); ++I)
-      Avail[I][A] = Cs[I].Kind == VarClass::Current;
-  }
   for (std::size_t I = 0; I < FI.Locals.size(); ++I) {
     VarId V = FI.Locals[I];
     const VarInfo &VI = Info.var(V);
@@ -207,7 +201,7 @@ void emitFunction(std::ostringstream &Out, const MachineModule &MM,
     Out << ",\"locations\":";
     emitLocationList(Out, MF, V, N);
     Out << ",\"availability\":";
-    emitAvailability(Out, Avail[I]);
+    emitAvailability(Out, Avail.Current[I]);
     Out << "}";
   }
   Out << "]}";
@@ -216,6 +210,7 @@ void emitFunction(std::ostringstream &Out, const MachineModule &MM,
 } // namespace
 
 std::string sldb::renderDebugInfo(const MachineModule &MM) {
+  TraceSpan Span("debuginfo.render", "core");
   std::ostringstream Out;
   Out << "{\"schema\":\"sldb-dwarf-0\",\"globals\":[";
   bool First = true;

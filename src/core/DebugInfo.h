@@ -13,10 +13,11 @@
 /// *availability* ranges — the PC intervals where the classifier of
 /// Figure 1 would answer "Current".
 ///
-/// The availability ranges are not recomputed from scratch: they are
-/// produced by running the Classifier itself at every instruction
-/// address, so the export is consistent with interactive debugging by
-/// construction.  Consumers (schema: "sldb-dwarf-0") get half-open
+/// The availability ranges are not recomputed from scratch: they come
+/// from the Classifier's own availability sweep, which advances the same
+/// dataflow solutions with the same transfer functions as interactive
+/// queries, so the export is consistent with interactive debugging by
+/// construction (tests/debug_tables_test.cpp checks every address).  Consumers (schema: "sldb-dwarf-0") get half-open
 /// [lo, hi) address ranges, strictly monotone and non-overlapping per
 /// list, covering [0, num_instrs) for location lists.
 ///
