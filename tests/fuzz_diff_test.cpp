@@ -277,3 +277,25 @@ TEST(FuzzDiff, AliasRegressionSeedStaysSound) {
   EXPECT_TRUE(R.sound()) << failureSummary(R);
   EXPECT_GT(R.Observations, 0u);
 }
+
+TEST(FuzzDiff, RegressionSeedsStaySound) {
+  // Scalar-grammar seeds the oracle once caught, each pinned through the
+  // full lockstep oracle in both promote modes:
+  //  * 321203761 — PRE re-materialized `v5 + g0` into a shared temporary
+  //    on both arms of a branch, DCE turned the join's `v5 = t` into a
+  //    dead marker recovering from `t` and then erased both arm
+  //    definitions, so the marker recovered v5 from the stale pre-branch
+  //    definition of `t` (wrong-recovery with promotion off).
+  for (std::uint32_t Seed : {321203761u}) {
+    CampaignConfig C;
+    C.Seed = Seed;
+    C.Count = 1;
+    C.BothPromoteModes = true;
+    C.Shrink = false;
+    C.WriteFailures = false;
+    CampaignResult R = runCampaign(C);
+    EXPECT_EQ(R.FailedCompiles, 0u) << "seed " << Seed;
+    EXPECT_TRUE(R.sound()) << failureSummary(R);
+    EXPECT_GT(R.Observations, 0u) << "seed " << Seed;
+  }
+}
