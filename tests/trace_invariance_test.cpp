@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/ISel.h"
+#include "core/DebugInfo.h"
 #include "fuzz/Campaign.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
@@ -139,6 +140,8 @@ TEST(TraceInvariance, PerQueryVerdictsIdenticalWithTracingOn) {
         }
       }
     }
+    // The export's availability sweep is the same decision at every PC.
+    D << renderDebugInfo(MM);
     return D.str();
   };
 

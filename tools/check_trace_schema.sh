@@ -4,8 +4,9 @@
 #
 #   check_trace_schema.sh <sldbc> <sldb-fuzz> <input.mc>
 #
-# Generates a compile+debug trace and a merged campaign trace into a
-# temporary directory and checks, for each document:
+# Generates a compile+debug trace, a debug-info export trace and a
+# merged campaign trace into a temporary directory and checks, for each
+# document:
 #
 #   * top-level shape: {"traceEvents": [...], "displayTimeUnit": ...};
 #   * per event: required keys (name, cat, ph, ts, pid, tid), ph is one
@@ -13,7 +14,8 @@
 #   * timestamps are monotonically nondecreasing within each tid (the
 #     writer sorts by (tid, ts));
 #   * "X" spans nest properly within each tid: a span overlapping an
-#     enclosing span must be fully contained in it (balanced spans).
+#     enclosing span must be fully contained in it (balanced spans);
+#   * the export trace holds a "debuginfo.render" span.
 #
 # Exit status 0 when every generated trace validates, 1 otherwise.
 set -eu
@@ -34,16 +36,22 @@ trap 'rm -rf "$TMP"' EXIT
   --cmd "b main 2" --cmd run --cmd "explain c" --cmd q \
   "$INPUT" >/dev/null
 
-# 2. Merged campaign trace through sldb-fuzz (two jobs, so the
+# 2. Debug-info export trace through sldbc: must carry the export span.
+"$SLDBC" --trace-json="$TMP/export.json" --emit=asm \
+  --debug-info="$TMP/export.dwarf.json" "$INPUT" >/dev/null
+
+# 3. Merged campaign trace through sldb-fuzz (two jobs, so the
 #    deterministic seed-major merge actually has something to merge).
 "$SLDB_FUZZ" --seed 5 --count 6 --jobs 2 --no-write \
   --trace-json "$TMP/campaign.json" >/dev/null
 
+# validate <trace.json> [required-span-name...]
 validate() {
-  python3 - "$1" <<'PYEOF'
+  python3 - "$@" <<'PYEOF'
 import json, sys
 
 path = sys.argv[1]
+required = sys.argv[2:]
 with open(path) as f:
     doc = json.load(f)  # Parse failure -> traceback -> nonzero exit.
 
@@ -95,9 +103,15 @@ for tid, evs in by_tid.items():
                  f"span [{stack[-1][0]},{stack[-1][1]}) — unbalanced")
         stack.append((ts, end))
 
+names = {e["name"] for e in events if e["ph"] == "X"}
+for name in required:
+    if name not in names:
+        fail(f"missing required span '{name}'")
+
 print(f"{path}: OK ({len(events)} events, {len(by_tid)} tid(s))")
 PYEOF
 }
 
 validate "$TMP/compile.json"
+validate "$TMP/export.json" debuginfo.render
 validate "$TMP/campaign.json"
