@@ -5,21 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives whole fuzzing campaigns: generate N seeded programs, run each
-/// through the lockstep oracle in both codegen configurations (variables
-/// promoted to registers / kept in frame slots), judge every run with the
-/// soundness checker, aggregate optimization coverage, and turn any
-/// violation into a minimized on-disk reproducer.  Both `tools/sldb-fuzz`
-/// and the tier-1 `fuzz_diff_test` are thin wrappers around this.
+/// The two lockstep value-oracle campaigns, as unit oracles of the
+/// campaign driver (fuzz/CampaignDriver.h):
+///
+///  * Differential campaign — every seed through the lockstep oracle in
+///    both codegen configurations (variables promoted to registers /
+///    kept in frame slots), judged by the soundness checker, with the
+///    optimizer coverage aggregated and any violation turned into a
+///    minimized on-disk reproducer.
+///
+///  * Fault-injection campaign — every seed once per defended fault
+///    point, judged against the weaker contract under injection.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLDB_FUZZ_CAMPAIGN_H
 #define SLDB_FUZZ_CAMPAIGN_H
 
-#include "fuzz/DiffCheck.h"
-#include "fuzz/ProgramGen.h"
-#include "support/Trace.h"
+#include "fuzz/CampaignDriver.h"
 
 #include <cstdint>
 #include <string>
@@ -27,35 +30,16 @@
 
 namespace sldb {
 
-/// Campaign parameters.
-struct CampaignConfig {
-  std::uint32_t Seed = 1;  ///< First seed; program i uses Seed + i.
-  unsigned Count = 200;    ///< Number of generated programs.
-  GenOptions Gen;
-
+/// Differential campaign parameters.
+struct CampaignConfig : CampaignSpec {
   /// Run each program twice: PromoteVars on (Figure 5(b)) and off
   /// (Figure 5(a)).  Off still exercises hoist/dead reach, on adds the
-  /// residence tables.
+  /// residence tables.  A Level campaign runs the level's one mode.
   bool BothPromoteModes = true;
 
   /// Codegen configuration for single-mode campaigns (ignored when
   /// BothPromoteModes is set).
   bool Promote = true;
-
-  /// Non-empty: run the whole campaign at this named pipeline level
-  /// (eval/Levels.h) instead of the default lockstep set — one mode,
-  /// with the level's own pass selection and promotion.  The name must
-  /// resolve via findLevel() and the level must be judgeable(); the
-  /// campaign refuses with a ConfigError otherwise.
-  std::string Level;
-
-  /// Shrink each failing program to a minimal reproducer (greedy
-  /// statement deletion preserving the violation kind).
-  bool Shrink = true;
-
-  /// Write reproducers (source + violation report) into FailureDir.
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
 
   unsigned MaxStops = 4000; ///< Per-run observation cap.
 
@@ -64,57 +48,13 @@ struct CampaignConfig {
   /// compiler is recorded, reduced, and archived instead of killing the
   /// campaign.  Trades the in-process coverage accounting (stops /
   /// observations / pass firings) of passing runs for containment.
+  /// Composes with Jobs: each worker forks its own watchdogged child.
   bool Isolate = false;
   unsigned TimeoutMs = 20'000; ///< Watchdog budget per isolated run.
 
   /// Where crash/hang reproducers are archived (isolated mode, with
   /// WriteFailures).
   std::string CrashDir = "fuzz-crashes";
-
-  /// Worker threads fanning the campaign's (seed, mode) units across a
-  /// work-stealing pool (support/ThreadPool.h).  0 means all hardware
-  /// cores.  The report is byte-identical for every value: unit results
-  /// land in index-keyed slots and are merged in (seed, mode) order
-  /// after the pool drains.  Isolated mode composes: each worker forks
-  /// its own watchdogged child, so `--jobs N --isolate` is a pool of N
-  /// concurrent children.
-  unsigned Jobs = 1;
-
-  /// Distributed campaigns (`--shard i/k`): run only the i-th of k
-  /// contiguous slices of the seed range.  Concatenating the k shard
-  /// reports in shard order reproduces the unsharded campaign.
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-
-  /// Capture each unit's trace events (support/Trace.h) and merge them
-  /// into CampaignResult::Trace in seed-major unit order with the unit
-  /// ordinal as the tid — the merged event *sequence* is identical for
-  /// every Jobs value (timestamps remain wall clock).  Only effective
-  /// while Trace::enabled(); isolated (forked) units lose their events
-  /// to the fork, like the coverage stats.
-  bool CollectTrace = false;
-};
-
-/// One failing program.
-struct CampaignFailure {
-  std::uint32_t Seed = 0;
-  bool Promote = true;
-  std::string Source;  ///< Generated program.
-  std::string Reduced; ///< Minimized reproducer (empty if not shrunk).
-  std::vector<Violation> Violations;
-  std::string Path;    ///< Written reproducer path (when writing).
-
-  /// Process-level outcome ("crash (signal 11)", "timeout") for seeds
-  /// caught by the isolation layer; empty for in-process soundness
-  /// failures.
-  std::string ProcessOutcome;
-
-  /// Fault point armed for the run (inject campaigns; empty otherwise).
-  std::string FaultName;
-
-  /// Pipeline level of the run (cross-level campaigns; empty for the
-  /// default lockstep configuration).
-  std::string Level;
 };
 
 /// How much of the optimizer the corpus actually exercised.
@@ -135,55 +75,20 @@ struct CampaignCoverage {
   unsigned fired(const std::string &PassName) const;
 };
 
-/// Per-worker campaign statistics (diagnostic only — wall-clock based
-/// and therefore nondeterministic; never part of the campaign report).
-struct CampaignWorkerStats {
-  unsigned Worker = 0;
-  unsigned Units = 0;         ///< (seed, mode) / (seed, fault) checks run.
-  unsigned Steals = 0;        ///< Units taken from a sibling's queue.
-  unsigned InitialQueue = 0;  ///< Starting queue depth.
-  std::uint64_t BusyUs = 0;
-  std::uint32_t SlowestSeed = 0; ///< Seed of the slowest unit.
-  std::uint64_t SlowestUs = 0;
-
-  double unitsPerSec() const {
-    return BusyUs ? 1e6 * static_cast<double>(Units) / BusyUs : 0.0;
-  }
-};
-
-/// Aggregate campaign outcome.
-struct CampaignResult {
-  unsigned Programs = 0;      ///< Generated.
+/// Aggregate differential-campaign outcome.
+struct CampaignResult : CampaignTally {
   unsigned Runs = 0;          ///< Lockstep executions (<= 2x programs).
   unsigned FailedCompiles = 0;///< Generator bugs: must stay zero.
   std::uint64_t Stops = 0;    ///< Paired statement-boundary stops.
   std::uint64_t Observations = 0; ///< Variable observations judged.
-  std::vector<CampaignFailure> Failures;
   CampaignCoverage Coverage;
-
-  /// Non-empty when the campaign refused to run (seed-range overflow,
-  /// bad shard spec).  Nothing else in the result is meaningful then.
-  std::string ConfigError;
-
-  /// Units fast-drained because an interrupt (SIGINT/SIGTERM, see
-  /// support/Interrupt.h) arrived mid-campaign.  Nonzero marks the
-  /// report as *partial*: aggregates cover only the units that ran, and
-  /// the driver still flushes every reproducer collected so far.
-  unsigned SkippedUnits = 0;
-
-  /// One entry per pool worker (diagnostic; see CampaignWorkerStats).
-  std::vector<CampaignWorkerStats> Workers;
-
-  /// Captured trace events in seed-major unit order (CollectTrace);
-  /// tid = 1-based unit ordinal.
-  std::vector<TraceEvent> Trace;
 
   bool sound() const {
     return Failures.empty() && FailedCompiles == 0 && ConfigError.empty();
   }
 };
 
-/// Runs a campaign.
+/// Runs a differential campaign: units are (seed, promote mode).
 CampaignResult runCampaign(const CampaignConfig &C);
 
 /// Fault-injection campaign parameters (`sldb-fuzz --inject`): every
@@ -194,54 +99,24 @@ CampaignResult runCampaign(const CampaignConfig &C);
 /// and behavioral divergence from an injected VM trap are all acceptable
 /// — but process crashes, hangs, and the three *unsound* violation kinds
 /// (UnsoundCurrent, WrongRecovery, MissedUninitialized) never are.
-struct InjectCampaignConfig {
-  std::uint32_t Seed = 1;
-  unsigned Count = 200;
-  GenOptions Gen;
+/// Units are (seed, fault point); every record is archived in
+/// FailureDir, which defaults to "fuzz-crashes" here.
+struct InjectCampaignConfig : CampaignSpec {
+  InjectCampaignConfig() { FailureDir = "fuzz-crashes"; }
+
   bool Promote = true;      ///< Codegen configuration for the runs.
-
-  /// Non-empty: arm every fault under this named pipeline level instead
-  /// of the default lockstep set (CampaignConfig::Level contract — must
-  /// resolve and be judgeable, with the level's own promotion).
-  std::string Level;
-  unsigned MaxStops = 4000;
-  std::uint64_t Fuel = 50'000'000;
-
   bool Isolate = true;      ///< Fork + watchdog per run (the default).
   unsigned TimeoutMs = 20'000;
-
-  bool Shrink = true;       ///< Reduce unsound/crashing seeds.
-  bool WriteFailures = false;
-  std::string CrashDir = "fuzz-crashes";
-
-  /// Pool / sharding controls, with the same determinism contract as
-  /// CampaignConfig: units here are (seed, fault-point) pairs, merged
-  /// in seed-major order.
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-
-  /// As CampaignConfig::CollectTrace, over (seed, fault) units.
-  bool CollectTrace = false;
 };
 
 /// Aggregate inject-campaign outcome.
-struct InjectCampaignResult {
-  unsigned Programs = 0;
+struct InjectCampaignResult : CampaignTally {
   unsigned Runs = 0;           ///< seed x fault-point checks executed.
   unsigned CompileErrors = 0;  ///< Runs refused by the hardened pipeline.
   unsigned DegradedRuns = 0;   ///< Runs with only conservative findings.
   unsigned Crashes = 0;        ///< Child processes killed by a signal.
   unsigned Hangs = 0;          ///< Watchdog expirations.
   unsigned UnsoundRuns = 0;    ///< Runs with an unsound violation.
-  std::vector<CampaignFailure> Failures; ///< Crash/hang/unsound records.
-
-  std::string ConfigError;     ///< As CampaignResult::ConfigError.
-  unsigned SkippedUnits = 0;   ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
-
-  /// As CampaignResult::Trace, in (seed, fault) unit order.
-  std::vector<TraceEvent> Trace;
 
   /// The acceptance bar: no crash, no hang, no unsound verdict under
   /// any injected fault.
@@ -259,17 +134,13 @@ InjectCampaignResult runInjectCampaign(const InjectCampaignConfig &C);
 /// working as designed; these three are the debugger lying).
 bool isUnsoundViolation(ViolationKind K);
 
-/// Judges one program in one configuration (used by the reproducer mode
-/// of sldb-fuzz and by the shrinker's predicate).  \p Opts overrides the
-/// optimized build's pass selection (level campaigns); null keeps the
-/// default lockstep set.
+/// Judges one program in one configuration with the lockstep value
+/// oracle (the diff oracle's judge for `sldb-fuzz --repro` and the
+/// shrinker's predicate).  \p Opts overrides the optimized build's pass
+/// selection (level campaigns); null keeps the default lockstep set.
 std::vector<Violation> checkProgram(const std::string &Src, bool Promote,
-                                    unsigned MaxStops = 4000,
-                                    const OptOptions *Opts = nullptr);
-
-/// Renders a failure as the on-disk reproducer format: the violation
-/// report as comments, then the (reduced, when available) source.
-std::string renderFailure(const CampaignFailure &F);
+                                    const OptOptions *Opts = nullptr,
+                                    unsigned MaxStops = 4000);
 
 } // namespace sldb
 

@@ -22,9 +22,10 @@
 ///    *unexplained* — the tier-1 failure), and the measured conservatism
 ///    rate per level (Measure.h ConservatismCounts).
 ///
-/// Both runners follow Campaign.cpp's determinism contract: independent
-/// units in index-keyed slots, merged in seed-major order — reports are
-/// byte-identical for any --jobs value.
+/// Both are unit oracles of the campaign driver (fuzz/CampaignDriver.h)
+/// and share its determinism contract: reports are byte-identical for
+/// any --jobs value.  Unsound lockstep runs of the cross-level campaign
+/// are shrunk and archived like differential-campaign failures.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,44 +45,19 @@ namespace sldb {
 // Stepping campaign
 //===----------------------------------------------------------------------===//
 
-struct StepCampaignConfig {
-  std::uint32_t Seed = 1; ///< First seed; program i uses Seed + i.
-  unsigned Count = 200;
-  GenOptions Gen;
-
+/// Stepping campaign parameters; units are (seed, promote mode), as in
+/// the differential campaign.
+struct StepCampaignConfig : CampaignSpec {
   /// Run each program twice (promote / frame), as the diff campaign.
   bool BothPromoteModes = true;
   bool Promote = true; ///< Mode for single-mode campaigns.
-
-  /// Non-empty: run at this named pipeline level (CampaignConfig::Level
-  /// contract — must resolve and be judgeable, one mode, the level's
-  /// own promotion).
-  std::string Level;
-
-  bool Shrink = true;
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
-
-  unsigned MaxEvents = 20000; ///< Per-build stop-event cap.
-  std::uint64_t Fuel = 50'000'000;
-
-  /// Pool / shard controls (Campaign.h determinism contract).
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
 };
 
-struct StepCampaignResult {
-  unsigned Programs = 0;
+struct StepCampaignResult : CampaignTally {
   unsigned Runs = 0;           ///< Stepping executions (<= 2x programs).
   unsigned FailedCompiles = 0; ///< Generator bugs: must stay zero.
   unsigned CappedRuns = 0;     ///< Runs exempted from the multiset checks.
   std::uint64_t StmtsChecked = 0; ///< Visit rows judged.
-  std::vector<CampaignFailure> Failures;
-
-  std::string ConfigError;
-  unsigned SkippedUnits = 0; ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
 
   bool sound() const {
     return Failures.empty() && FailedCompiles == 0 && ConfigError.empty();
@@ -90,11 +66,11 @@ struct StepCampaignResult {
 
 StepCampaignResult runStepCampaign(const StepCampaignConfig &C);
 
-/// Judges one program's stepping in one mode (reproducer mode and the
-/// shrinker's predicate).  \p Opts overrides the optimized build's pass
-/// selection (level campaigns); null keeps the default lockstep set.
+/// Judges one program's stepping in one mode (the step oracle's judge
+/// for `sldb-fuzz --repro --oracle=step` and the shrinker's predicate).
+/// \p Opts overrides the optimized build's pass selection (level
+/// campaigns); null keeps the default lockstep set.
 std::vector<Violation> checkStepProgram(const std::string &Src, bool Promote,
-                                        unsigned MaxEvents = 20000,
                                         const OptOptions *Opts = nullptr);
 
 /// Deterministic campaign summary (failures render via renderFailure).
@@ -117,25 +93,11 @@ struct JudgedRegression {
 
 const char *judgmentName(JudgedRegression::Judgment J);
 
-struct CrossLevelCampaignConfig {
-  std::uint32_t Seed = 1;
-  unsigned Count = 200;
-  GenOptions Gen;
+/// Cross-level campaign parameters: one unit per seed.  The sweep
+/// covers every level, so a non-empty Level is refused.
+struct CrossLevelCampaignConfig : CampaignSpec {};
 
-  bool Shrink = true;
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
-
-  unsigned MaxStops = 1000; ///< Per-lockstep-run observation cap.
-  std::uint64_t Fuel = 50'000'000;
-
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-};
-
-struct CrossLevelCampaignResult {
-  unsigned Programs = 0;
+struct CrossLevelCampaignResult : CampaignTally {
   unsigned CompileErrors = 0; ///< Generator bugs: must stay zero.
   unsigned LockstepRuns = 0;  ///< Judgeable-level ground-truth runs.
   unsigned UnsoundRuns = 0;   ///< Runs with any soundness violation.
@@ -148,13 +110,6 @@ struct CrossLevelCampaignResult {
 
   /// All candidates with judgments, in (seed, point) order.
   std::vector<JudgedRegression> Regressions;
-
-  /// Unsound lockstep runs, shrunk/archived like diff-campaign failures.
-  std::vector<CampaignFailure> Failures;
-
-  std::string ConfigError;
-  unsigned SkippedUnits = 0; ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
 
   bool sound() const {
     return Unexplained == 0 && UnsoundRuns == 0 && CompileErrors == 0 &&

@@ -13,12 +13,16 @@
 //    verdicts (Suspect/Nonresident, never Current, never Recoverable)
 //    with a diagnostic finding, instead of asserting;
 //  * the degraded path is never *less* conservative than the fault-free
-//    path for the same (breakpoint, variable) query.
+//    path for the same (breakpoint, variable) query;
+//  * the sldb-fuzz CLI refuses flags the chosen oracle would ignore
+//    (exit 2 with a message), and a stepping reproducer's printed
+//    command re-judges it with the stepping oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/ISel.h"
 #include "core/Classifier.h"
+#include "fuzz/CampaignDriver.h"
 #include "fuzz/ProgramGen.h"
 #include "ir/IRGen.h"
 #include "opt/Pass.h"
@@ -29,6 +33,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <sys/wait.h>
@@ -58,6 +64,20 @@ int runSldbc(const std::string &File, const std::string &ExtraArgs) {
   std::string Cmd = std::string("'") + SLDB_SLDBC_PATH + "' " + ExtraArgs +
                     " '" + File + "' > /dev/null 2>&1";
   return std::system(Cmd.c_str());
+}
+
+/// Runs sldb-fuzz with \p Args, capturing stdout and stderr into \p Out.
+/// Returns the exit status, or -1 when the process did not exit.
+int runFuzz(const std::string &Args, std::string &Out) {
+  std::string Cmd = std::string("'") + SLDB_FUZZ_PATH + "' " + Args + " 2>&1";
+  FILE *P = popen(Cmd.c_str(), "r");
+  if (!P)
+    return -1;
+  char Buf[256];
+  while (std::fgets(Buf, sizeof(Buf), P))
+    Out += Buf;
+  int St = pclose(P);
+  return WIFEXITED(St) ? WEXITSTATUS(St) : -1;
 }
 
 /// Compiles \p Src at -O2 with register promotion, the configuration
@@ -329,4 +349,76 @@ TEST(Robustness, DegradedNeverLessConservativeThanFaultFree) {
     }
   }
   EXPECT_GT(Compared, 1000u) << "property compared too few verdicts";
+}
+
+//===----------------------------------------------------------------------===//
+// sldb-fuzz CLI: flags per oracle, and reproducers that reproduce
+//===----------------------------------------------------------------------===//
+
+TEST(Robustness, FuzzRefusesFlagsTheOracleIgnores) {
+  const char *Ignored[] = {
+      "--oracle=step --isolate",
+      "--oracle=step --no-isolate",
+      "--oracle=step --timeout-ms 100",
+      "--oracle=crosslevel --isolate",
+      "--oracle=crosslevel --timeout-ms 100",
+      "--oracle=crosslevel --level O2nl",
+      "--oracle=crosslevel --no-promote",
+      "--oracle=crosslevel --level O2 --no-promote --isolate",
+      "--oracle=step --inject",
+      "--inject --oracle=crosslevel",
+  };
+  for (const char *Args : Ignored) {
+    std::string Out;
+    int St = runFuzz(std::string(Args) + " --seed 1 --count 1 --no-write",
+                     Out);
+    EXPECT_EQ(St, 2) << Args << ": " << Out;
+    EXPECT_NE(Out.find("sldb-fuzz: "), std::string::npos)
+        << Args << " must say which flag does not apply, got: " << Out;
+  }
+  // The same flags with an oracle that uses them still run.
+  const char *Applied[] = {
+      "--oracle=step --level O2nl --no-promote",
+      "--inject --no-isolate --timeout-ms 100 --level O2nl",
+      "--no-isolate --timeout-ms 100 --no-promote",
+  };
+  for (const char *Args : Applied) {
+    std::string Out;
+    EXPECT_EQ(runFuzz(std::string(Args) + " --seed 1 --count 1 --no-write",
+                      Out),
+              0)
+        << Args << ": " << Out;
+  }
+}
+
+TEST(Robustness, StepReproducerReJudgesWithTheStepOracle) {
+  CampaignFailure F;
+  F.Seed = 3;
+  F.Promote = false;
+  F.Oracle = "step";
+  F.Source = "int main() {\n  int x = 2;\n  print(x);\n  return 0;\n}\n";
+  F.Violations = {{ViolationKind::PhantomStop, 0, 1, "", "line 2"}};
+  const std::string Path =
+      (std::filesystem::temp_directory_path() / "sldb-step-repro.minic")
+          .string();
+  {
+    std::ofstream Out(Path);
+    Out << renderFailure(F);
+  }
+
+  // Run the command the reproducer prints, on the reproducer itself.
+  std::ifstream In(Path);
+  std::string Line, Args;
+  const std::string Prefix = "// Reproduce: sldb-fuzz ";
+  while (std::getline(In, Line))
+    if (Line.rfind(Prefix, 0) == 0)
+      Args = Line.substr(Prefix.size());
+  ASSERT_FALSE(Args.empty()) << renderFailure(F);
+  Args.replace(Args.find("<this file>"), 11, "'" + Path + "'");
+  EXPECT_NE(Args.find("--oracle=step"), std::string::npos) << Args;
+
+  std::string Out;
+  EXPECT_EQ(runFuzz(Args, Out), 0) << Out;
+  EXPECT_EQ(Out, "step, promote-vars off: 0 violation(s)\n");
+  std::filesystem::remove(Path);
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Command-line front end for the differential fuzzing oracle:
+/// Command-line front end for the fuzzing oracles:
 ///
 ///   sldb-fuzz --seed 1 --count 200         # campaign (both codegen modes)
 ///   sldb-fuzz --oracle=step --count 200    # stepping/line-table oracle
@@ -14,9 +14,13 @@
 ///   sldb-fuzz --dump-seed 42               # print one generated program
 ///   sldb-fuzz --repro fuzz-failures/x.minic  # re-judge one reproducer
 ///
+/// The options build one CampaignSpec (fuzz/CampaignDriver.h); the chosen
+/// oracle's campaign runs on it and one shared epilogue prints the
+/// report.  A flag the chosen oracle would ignore is a usage error.
+///
 /// Exit status: 0 when every run satisfies the soundness contract, 1 on
 /// any violation (reproducers are written to --write-dir), 2 on usage
-/// errors.
+/// errors, 130 when an interrupt cut the campaign short.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,40 +31,33 @@
 #include "support/Interrupt.h"
 #include "support/Sharder.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 using namespace sldb;
 
 namespace {
 
 struct Options {
-  std::uint32_t Seed = 1;
-  unsigned Count = 200;
+  Options() { Spec.WriteFailures = true; }
+
+  CampaignSpec Spec; ///< Seeds, generator, level, shrink/write, pool, shard.
   bool Promote = true;
   bool BothModes = true;
-  bool Shrink = true;
-  bool Write = true;
-  std::string WriteDir = "fuzz-failures";
   std::string ReproPath;
   long DumpSeed = -1;
   std::string Oracle = "diff"; ///< diff | step | crosslevel.
-  std::string Level; ///< --level NAME: judge at one named pipeline level.
   bool Inject = false;
-  int Isolate = -1; ///< -1 default (on for --inject, off otherwise).
-  unsigned TimeoutMs = 20'000;
-  unsigned Jobs = 1;       ///< 0 = all hardware cores.
-  unsigned ShardIndex = 0; ///< --shard i/k.
-  unsigned ShardCount = 1;
+  int Isolate = -1;    ///< -1 default (on for --inject, off otherwise).
+  long TimeoutMs = -1; ///< -1 default (20000).
   bool WorkerStats = false;
   std::string TraceJson; ///< --trace-json FILE.
-  bool Alias = false;    ///< --alias: arrays/pointers in the generator.
 };
 
 void usage() {
@@ -69,14 +66,16 @@ void usage() {
       "usage: sldb-fuzz [options]\n"
       "  --seed N        first seed (default 1)\n"
       "  --count M       number of generated programs (default 200)\n"
-      "  --no-promote    only the frame-slot codegen configuration\n"
+      "  --no-promote    only the frame-slot codegen configuration (not\n"
+      "                  with crosslevel)\n"
       "  --no-shrink     keep reproducers unminimized\n"
       "  --no-write      do not write reproducer files\n"
       "  --write-dir D   reproducer directory (default fuzz-failures)\n"
       "  --alias         enable the aliasing generator grammar (arrays,\n"
       "                  pointers, address-taken locals, indirect stores)\n"
       "  --dump-seed N   print the program for seed N and exit\n"
-      "  --repro FILE    re-judge a program/reproducer file and exit\n"
+      "  --repro FILE    re-judge a program/reproducer file with the diff\n"
+      "                  or step oracle and exit\n"
       "  --oracle=K      which oracle drives the campaign (default diff):\n"
       "                  diff       variable-value lockstep soundness\n"
       "                  step       stepping/line-table oracle (phantom or\n"
@@ -85,18 +84,19 @@ void usage() {
       "                             availability regressions against the\n"
       "                             lockstep ground truth, and measure\n"
       "                             per-level conservatism\n"
-      "  --level NAME    run the diff/step campaign at one named pipeline\n"
-      "                  level (eval/Levels.h: O0, O2nl, O2nl-ssa, ...)\n"
+      "  --level NAME    run the diff/inject/step campaign at one named\n"
+      "                  pipeline"
+      " level (eval/Levels.h: O0, O2nl, O2nl-ssa, ...)\n"
       "                  instead of the default lockstep set; the level\n"
       "                  must be judgeable (no peel/unroll/inline)\n"
       "  --inject        fault-injection campaign: every seed is judged\n"
       "                  once per defended fault point; crashes, hangs,\n"
-      "                  and unsound verdicts fail\n"
+      "                  and unsound verdicts fail (diff oracle only)\n"
       "  --isolate       fork each check under a watchdog (default for\n"
-      "                  --inject)\n"
-      "  --no-isolate    run checks in-process\n"
+      "                  --inject; diff and inject only)\n"
+      "  --no-isolate    run checks in-process (diff and inject only)\n"
       "  --timeout-ms N  watchdog budget per isolated check (default\n"
-      "                  20000)\n"
+      "                  20000; diff and inject only)\n"
       "  --jobs N        fan units across N worker threads (0 = all\n"
       "                  cores; default 1).  The report is byte-identical\n"
       "                  for every N; with --isolate each worker forks\n"
@@ -118,96 +118,94 @@ bool parseUnsigned(const char *S, unsigned long &Out) {
 }
 
 bool parseArgs(int Argc, char **Argv, Options &O) {
+  CampaignSpec &S = O.Spec;
   for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
+    const std::string A = Argv[I];
+    const char *V = nullptr; // The flag's value, once taken.
+    auto Value = [&] { return V = I + 1 < Argc ? Argv[++I] : nullptr; };
+    auto Num = [&](auto &Out) {
+      unsigned long N = 0;
+      if (!Value() || !parseUnsigned(V, N))
+        return false;
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(N);
+      return true;
     };
-    unsigned long N = 0;
-    if (A == "--seed") {
-      const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
-        return false;
-      O.Seed = static_cast<std::uint32_t>(N);
-    } else if (A == "--count") {
-      const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
-        return false;
-      O.Count = static_cast<unsigned>(N);
-    } else if (A == "--no-promote") {
-      O.Promote = false;
-      O.BothModes = false;
-    } else if (A == "--no-shrink") {
-      O.Shrink = false;
-    } else if (A == "--no-write") {
-      O.Write = false;
-    } else if (A == "--write-dir") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.WriteDir = V;
-    } else if (A == "--dump-seed") {
-      const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
-        return false;
-      O.DumpSeed = static_cast<long>(N);
-    } else if (A == "--repro") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.ReproPath = V;
-    } else if (A.rfind("--oracle=", 0) == 0) {
+    auto Str = [&](std::string &Out) {
+      if (Value())
+        Out = V;
+      return V != nullptr;
+    };
+    bool Ok = true;
+    if (A == "--seed")
+      Ok = Num(S.Seed);
+    else if (A == "--count")
+      Ok = Num(S.Count);
+    else if (A == "--no-promote")
+      O.Promote = O.BothModes = false;
+    else if (A == "--no-shrink")
+      S.Shrink = false;
+    else if (A == "--no-write")
+      S.WriteFailures = false;
+    else if (A == "--write-dir")
+      Ok = Str(S.FailureDir);
+    else if (A == "--dump-seed")
+      Ok = Num(O.DumpSeed);
+    else if (A == "--repro")
+      Ok = Str(O.ReproPath);
+    else if (A == "--oracle")
+      Ok = Str(O.Oracle);
+    else if (A.rfind("--oracle=", 0) == 0)
       O.Oracle = A.substr(9);
-      if (O.Oracle != "diff" && O.Oracle != "step" &&
-          O.Oracle != "crosslevel")
-        return false;
-    } else if (A == "--oracle") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.Oracle = V;
-      if (O.Oracle != "diff" && O.Oracle != "step" &&
-          O.Oracle != "crosslevel")
-        return false;
-    } else if (A == "--level") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.Level = V;
-    } else if (A == "--inject") {
+    else if (A == "--level")
+      Ok = Str(S.Level);
+    else if (A == "--inject")
       O.Inject = true;
-    } else if (A == "--isolate") {
+    else if (A == "--isolate")
       O.Isolate = 1;
-    } else if (A == "--no-isolate") {
+    else if (A == "--no-isolate")
       O.Isolate = 0;
-    } else if (A == "--timeout-ms") {
-      const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
-        return false;
-      O.TimeoutMs = static_cast<unsigned>(N);
-    } else if (A == "--jobs") {
-      const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
-        return false;
-      O.Jobs = static_cast<unsigned>(N);
-    } else if (A == "--shard") {
-      const char *V = Next();
-      if (!V || !Sharder::parseSpec(V, O.ShardIndex, O.ShardCount))
-        return false;
-    } else if (A == "--alias") {
-      O.Alias = true;
-    } else if (A == "--worker-stats") {
+    else if (A == "--timeout-ms")
+      Ok = Num(O.TimeoutMs);
+    else if (A == "--jobs")
+      Ok = Num(S.Jobs);
+    else if (A == "--shard")
+      Ok = Value() && Sharder::parseSpec(V, S.ShardIndex, S.ShardCount);
+    else if (A == "--alias")
+      S.Gen.Alias = true;
+    else if (A == "--worker-stats")
       O.WorkerStats = true;
-    } else if (A == "--trace-json") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.TraceJson = V;
-    } else {
+    else if (A == "--trace-json")
+      Ok = Str(O.TraceJson);
+    else
+      Ok = false;
+    if (!Ok)
       return false;
-    }
   }
-  return true;
+  return O.Oracle == "diff" || O.Oracle == "step" || O.Oracle == "crosslevel";
+}
+
+/// Flags the chosen oracle would silently ignore.  Returns the
+/// complaint, or an empty string when every flag applies.
+std::string ignoredFlags(const Options &O) {
+  const bool Quality = O.Oracle != "diff";
+  if (O.Inject && Quality)
+    return "--inject runs the diff oracle under injected faults; it does "
+           "not combine with --oracle=" +
+           O.Oracle;
+  if (Quality && (O.Isolate != -1 || O.TimeoutMs != -1))
+    return "--isolate, --no-isolate and --timeout-ms apply to the diff and "
+           "inject campaigns only, not --oracle=" +
+           O.Oracle;
+  if (O.Oracle == "crosslevel" && (!O.Spec.Level.empty() || !O.BothModes))
+    return "--level and --no-promote do not apply to --oracle=crosslevel, "
+           "which sweeps every pipeline level in its own promotion";
+  if (!O.ReproPath.empty() && O.Inject)
+    return "--repro does not replay injected faults; it re-judges with the "
+           "diff or step oracle";
+  if (!O.ReproPath.empty() && O.Oracle == "crosslevel")
+    return "--repro re-judges with the diff or step oracle; a cross-level "
+           "reproducer names its level (--repro FILE --level NAME)";
+  return "";
 }
 
 int runRepro(const Options &O) {
@@ -221,16 +219,23 @@ int runRepro(const Options &O) {
   SS << In.rdbuf();
   std::string Src = SS.str();
 
-  // A reproducer from a level campaign must be re-judged at that level.
-  const LevelSpec *Spec = nullptr;
-  if (!O.Level.empty()) {
-    Spec = findLevel(O.Level);
-    if (!Spec || !judgeable(*Spec)) {
-      std::fprintf(stderr, "sldb-fuzz: unknown or non-judgeable level '%s'\n",
-                   O.Level.c_str());
-      return 2;
-    }
+  // A reproducer from a level campaign must be re-judged at that level,
+  // which must resolve and be judgeable as for a campaign.
+  CampaignTally Refusal;
+  const LevelSpec *Spec;
+  if (!startCampaign(O.Spec, Refusal, Spec)) {
+    std::fprintf(stderr, "sldb-fuzz: %s\n", Refusal.ConfigError.c_str());
+    return 2;
   }
+  // Each oracle re-judges with the judge its campaign used.
+  using JudgeFn = std::vector<Violation> (*)(const std::string &, bool,
+                                             const OptOptions *);
+  JudgeFn Judge = O.Oracle == "step"
+                      ? JudgeFn(checkStepProgram)
+                      : [](const std::string &S, bool Promote,
+                           const OptOptions *Opts) {
+                          return checkProgram(S, Promote, Opts);
+                        };
   int Status = 0;
   const bool OneMode = !O.BothModes || Spec;
   for (int Mode = 0; Mode < (OneMode ? 1 : 2); ++Mode) {
@@ -238,8 +243,8 @@ int runRepro(const Options &O) {
                    : OneMode ? O.Promote
                              : Mode == 0;
     std::vector<Violation> Vs =
-        checkProgram(Src, Promote, 4000, Spec ? &Spec->Opts : nullptr);
-    std::printf("promote-vars %s: %zu violation(s)\n",
+        Judge(Src, Promote, Spec ? &Spec->Opts : nullptr);
+    std::printf("%s, promote-vars %s: %zu violation(s)\n", O.Oracle.c_str(),
                 Promote ? "on" : "off", Vs.size());
     for (const Violation &V : Vs) {
       std::printf("  %s\n", V.str().c_str());
@@ -282,21 +287,6 @@ void printWorkerStats(const std::vector<CampaignWorkerStats> &Workers) {
                Stats::percent(CH, CM), Stats::percent(AH, AM));
 }
 
-/// Folds a graceful interruption (SIGINT/SIGTERM) into the campaign's
-/// exit status.  By this point the full report — covering everything
-/// that finished before the signal — and any reproducer files are
-/// already flushed; the note plus the conventional 128+SIGINT status
-/// keep a partial report from being mistaken for a complete one.
-int finishCampaign(int RC, unsigned SkippedUnits) {
-  if (SkippedUnits == 0)
-    return RC;
-  std::fprintf(stderr,
-               "sldb-fuzz: interrupted — report is PARTIAL (%u unit(s) "
-               "skipped); reproducers for completed units are on disk\n",
-               SkippedUnits);
-  return 130;
-}
-
 /// Writes the merged campaign trace (--trace-json).  Returns false (and
 /// complains) on I/O failure.
 bool writeTraceFile(const std::string &Path,
@@ -312,135 +302,149 @@ bool writeTraceFile(const std::string &Path,
   return true;
 }
 
-int runInject(const Options &O) {
-  InjectCampaignConfig C;
-  C.Seed = O.Seed;
-  C.Count = O.Count;
-  C.Gen.Alias = O.Alias;
-  C.Promote = O.Promote;
-  C.Shrink = O.Shrink;
-  C.Isolate = O.Isolate != 0; // Default on for --inject.
-  C.TimeoutMs = O.TimeoutMs;
-  C.WriteFailures = O.Write;
-  C.CrashDir = O.WriteDir == "fuzz-failures" ? "fuzz-crashes" : O.WriteDir;
-  C.Jobs = O.Jobs;
-  C.ShardIndex = O.ShardIndex;
-  C.ShardCount = O.ShardCount;
-  C.CollectTrace = !O.TraceJson.empty();
-  C.Level = O.Level;
-  InjectCampaignResult R = runInjectCampaign(C);
-  if (!R.ConfigError.empty()) {
-    std::fprintf(stderr, "sldb-fuzz: %s\n", R.ConfigError.c_str());
-    return 2;
-  }
-  if (O.WorkerStats)
-    printWorkerStats(R.Workers);
-  if (!O.TraceJson.empty() && !writeTraceFile(O.TraceJson, R.Trace))
-    return 2;
+[[gnu::format(printf, 1, 2)]] std::string format(const char *Fmt, ...) {
+  char Buf[512];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  return Buf;
+}
 
+/// The oracle-specific half of a campaign's stdout report.
+struct Report {
+  std::string Summary; ///< Counts and tables.
+  bool Sound = false;
+  std::string Verdict; ///< The OK line, or the failure list's header.
+  /// One failure's line after "  seed N".
+  std::string (*Describe)(const CampaignFailure &) = nullptr;
+};
+
+std::string promoteLine(const CampaignFailure &F) {
+  return format(" (promote-vars %s): ", F.Promote ? "on" : "off") +
+         F.Violations.front().str();
+}
+
+Report diffReport(const CampaignResult &R) {
+  Report Rep;
+  Rep.Summary =
+      format("programs:      %u (%u lockstep runs)\n", R.Programs, R.Runs) +
+      format("paired stops:  %llu (%llu variable observations)\n",
+             static_cast<unsigned long long>(R.Stops),
+             static_cast<unsigned long long>(R.Observations)) +
+      format("coverage:      hoisted %u, sunk %u, dead-marks %u, "
+             "avail-marks %u, iv-recoveries %u (of %u programs)\n",
+             R.Coverage.WithHoisted, R.Coverage.WithSunk,
+             R.Coverage.WithDeadMarks, R.Coverage.WithAvailMarks,
+             R.Coverage.WithSRRecords, R.Programs);
+  for (const PassFiring &F : R.Coverage.Firings)
+    if (F.Changed)
+      Rep.Summary +=
+          format("  pass %-44s fired %u\n", F.Name.c_str(), F.Changed);
+  if (R.FailedCompiles)
+    Rep.Summary += format("GENERATOR BUG: %u programs failed to compile\n",
+                          R.FailedCompiles);
+  Rep.Sound = R.sound();
+  Rep.Verdict =
+      Rep.Sound ? "soundness:     OK (no Current-with-wrong-value, no wrong "
+                  "recovery, tables consistent)\n"
+                : format("soundness:     %zu FAILING program(s)\n",
+                         R.Failures.size());
+  Rep.Describe = promoteLine;
+  return Rep;
+}
+
+Report injectReport(const InjectCampaignResult &R, bool Isolated) {
   unsigned Defended = 0;
   for (const FaultPoint &P : FaultInjector::points())
-    if (P.Defended)
-      ++Defended;
-  std::printf("inject:        %u programs x %u fault points = %u runs "
-              "(%s)\n",
-              R.Programs, Defended, R.Runs,
-              C.Isolate ? "isolated, watchdog on" : "in-process");
-  std::printf("outcomes:      %u degraded-conservative, %u compile "
-              "errors, %u crashes, %u hangs, %u unsound\n",
-              R.DegradedRuns, R.CompileErrors, R.Crashes, R.Hangs,
-              R.UnsoundRuns);
-  if (R.sound()) {
-    std::printf("injection:     OK (no crash, no hang, no unsound verdict "
-                "under any injected fault)\n");
-    return finishCampaign(0, R.SkippedUnits);
-  }
-  std::printf("injection:     %zu FAILING run(s)\n", R.Failures.size());
-  for (const CampaignFailure &F : R.Failures) {
-    std::printf("  seed %u fault %s: %s\n", F.Seed, F.FaultName.c_str(),
-                F.ProcessOutcome.empty()
-                    ? F.Violations.front().str().c_str()
-                    : F.ProcessOutcome.c_str());
-    if (!F.Path.empty())
-      std::printf("    reproducer: %s\n", F.Path.c_str());
-  }
-  return finishCampaign(1, R.SkippedUnits);
+    Defended += P.Defended;
+  Report Rep;
+  Rep.Summary =
+      format("inject:        %u programs x %u fault points = %u runs (%s)\n",
+             R.Programs, Defended, R.Runs,
+             Isolated ? "isolated, watchdog on" : "in-process") +
+      format("outcomes:      %u degraded-conservative, %u compile errors, "
+             "%u crashes, %u hangs, %u unsound\n",
+             R.DegradedRuns, R.CompileErrors, R.Crashes, R.Hangs,
+             R.UnsoundRuns);
+  Rep.Sound = R.sound();
+  Rep.Verdict = Rep.Sound ? "injection:     OK (no crash, no hang, no "
+                            "unsound verdict under any injected fault)\n"
+                          : format("injection:     %zu FAILING run(s)\n",
+                                   R.Failures.size());
+  Rep.Describe = [](const CampaignFailure &F) {
+    return " fault " + F.FaultName + ": " +
+           (F.ProcessOutcome.empty() ? F.Violations.front().str()
+                                     : F.ProcessOutcome);
+  };
+  return Rep;
 }
 
-int runStep(const Options &O) {
-  StepCampaignConfig C;
-  C.Seed = O.Seed;
-  C.Count = O.Count;
-  C.Gen.Alias = O.Alias;
-  C.BothPromoteModes = O.BothModes;
-  C.Promote = O.Promote;
-  C.Level = O.Level;
-  C.Shrink = O.Shrink;
-  C.WriteFailures = O.Write;
-  C.FailureDir = O.WriteDir;
-  C.Jobs = O.Jobs;
-  C.ShardIndex = O.ShardIndex;
-  C.ShardCount = O.ShardCount;
-  StepCampaignResult R = runStepCampaign(C);
-  if (!R.ConfigError.empty()) {
-    std::fprintf(stderr, "sldb-fuzz: %s\n", R.ConfigError.c_str());
+Report stepReport(const StepCampaignResult &R) {
+  Report Rep;
+  Rep.Summary = renderStepCampaignReport(R);
+  Rep.Sound = R.sound();
+  Rep.Verdict = Rep.Sound ? "stepping:       OK (no phantom or vanished "
+                            "statement boundaries, behavior matched)\n"
+                          : format("stepping:       %zu FAILING run(s)\n",
+                                   R.Failures.size());
+  Rep.Describe = promoteLine;
+  return Rep;
+}
+
+Report crossLevelReport(const CrossLevelCampaignResult &R) {
+  Report Rep;
+  Rep.Summary = renderCrossLevelCampaignReport(R);
+  Rep.Sound = R.sound();
+  Rep.Verdict = Rep.Sound ? "cross-level:    OK (no unexplained availability "
+                            "regression, every level sound)\n"
+                          : format("cross-level:    FAIL (%u unexplained "
+                                   "regression(s), %u unsound run(s))\n",
+                                   R.Unexplained, R.UnsoundRuns);
+  Rep.Describe = [](const CampaignFailure &F) {
+    return " level " + F.Level + ": " + F.Violations.front().str();
+  };
+  return Rep;
+}
+
+/// The epilogue every campaign shares: refusal, diagnostics, the merged
+/// trace, the report, the failure list, and the exit status.  A graceful
+/// interruption (SIGINT/SIGTERM) still prints the full report for
+/// everything that finished, with reproducers already on disk; the note
+/// plus the conventional 128+SIGINT status keep a partial report from
+/// being mistaken for a complete one.
+int finish(const Options &O, const CampaignTally &T, const Report &Rep) {
+  if (!T.ConfigError.empty()) {
+    std::fprintf(stderr, "sldb-fuzz: %s\n", T.ConfigError.c_str());
     return 2;
   }
   if (O.WorkerStats)
-    printWorkerStats(R.Workers);
+    printWorkerStats(T.Workers);
+  if (!O.TraceJson.empty() && !writeTraceFile(O.TraceJson, T.Trace))
+    return 2;
 
-  std::fputs(renderStepCampaignReport(R).c_str(), stdout);
-  if (R.sound()) {
-    std::printf("stepping:       OK (no phantom or vanished statement "
-                "boundaries, behavior matched)\n");
-    return finishCampaign(0, R.SkippedUnits);
-  }
-  std::printf("stepping:       %zu FAILING run(s)\n", R.Failures.size());
-  for (const CampaignFailure &F : R.Failures) {
-    std::printf("  seed %u (promote-vars %s): %s\n", F.Seed,
-                F.Promote ? "on" : "off",
-                F.Violations.front().str().c_str());
-    if (!F.Path.empty())
-      std::printf("    reproducer: %s\n", F.Path.c_str());
-  }
-  return finishCampaign(1, R.SkippedUnits);
+  std::fputs(Rep.Summary.c_str(), stdout);
+  std::fputs(Rep.Verdict.c_str(), stdout);
+  if (!Rep.Sound)
+    for (const CampaignFailure &F : T.Failures) {
+      std::printf("  seed %u%s\n", F.Seed, Rep.Describe(F).c_str());
+      if (!F.Path.empty())
+        std::printf("    reproducer: %s\n", F.Path.c_str());
+    }
+  if (T.SkippedUnits == 0)
+    return Rep.Sound ? 0 : 1;
+  std::fprintf(stderr,
+               "sldb-fuzz: interrupted — report is PARTIAL (%u unit(s) "
+               "skipped); reproducers for completed units are on disk\n",
+               T.SkippedUnits);
+  return 130;
 }
 
-int runCrossLevel(const Options &O) {
-  CrossLevelCampaignConfig C;
-  C.Seed = O.Seed;
-  C.Count = O.Count;
-  C.Gen.Alias = O.Alias;
-  C.Shrink = O.Shrink;
-  C.WriteFailures = O.Write;
-  C.FailureDir = O.WriteDir;
-  C.Jobs = O.Jobs;
-  C.ShardIndex = O.ShardIndex;
-  C.ShardCount = O.ShardCount;
-  CrossLevelCampaignResult R = runCrossLevelCampaign(C);
-  if (!R.ConfigError.empty()) {
-    std::fprintf(stderr, "sldb-fuzz: %s\n", R.ConfigError.c_str());
-    return 2;
-  }
-  if (O.WorkerStats)
-    printWorkerStats(R.Workers);
-
-  std::fputs(renderCrossLevelCampaignReport(R).c_str(), stdout);
-  if (R.sound()) {
-    std::printf("cross-level:    OK (no unexplained availability "
-                "regression, every level sound)\n");
-    return finishCampaign(0, R.SkippedUnits);
-  }
-  std::printf("cross-level:    FAIL (%u unexplained regression(s), %u "
-              "unsound run(s))\n",
-              R.Unexplained, R.UnsoundRuns);
-  for (const CampaignFailure &F : R.Failures) {
-    std::printf("  seed %u level %s: %s\n", F.Seed, F.Level.c_str(),
-                F.Violations.front().str().c_str());
-    if (!F.Path.empty())
-      std::printf("    reproducer: %s\n", F.Path.c_str());
-  }
-  return finishCampaign(1, R.SkippedUnits);
+/// A campaign config carrying the options' shared spec.
+template <class Config> Config configFor(const Options &O) {
+  Config C;
+  static_cast<CampaignSpec &>(C) = O.Spec;
+  return C;
 }
 
 } // namespace
@@ -451,9 +455,13 @@ int main(int Argc, char **Argv) {
     usage();
     return 2;
   }
+  if (std::string Err = ignoredFlags(O); !Err.empty()) {
+    std::fprintf(stderr, "sldb-fuzz: %s\n", Err.c_str());
+    return 2;
+  }
   // Ctrl-C / SIGTERM flush a partial report instead of losing the
   // campaign: workers drain at the next unit boundary, merges run as
-  // usual, and finishCampaign() marks the output partial (exit 130).
+  // usual, and finish() marks the output partial (exit 130).
   installInterruptHandlers();
   if (!O.TraceJson.empty()) {
     if (!Trace::compiledIn())
@@ -462,80 +470,47 @@ int main(int Argc, char **Argv) {
                    "'%s' will hold an empty trace\n",
                    O.TraceJson.c_str());
     Trace::enable();
+    O.Spec.CollectTrace = true;
   }
 
   if (O.DumpSeed >= 0) {
-    GenOptions G;
-    G.Alias = O.Alias;
     std::string Src =
-        generateProgram(static_cast<std::uint32_t>(O.DumpSeed), G);
+        generateProgram(static_cast<std::uint32_t>(O.DumpSeed), O.Spec.Gen);
     std::fputs(Src.c_str(), stdout);
     return 0;
   }
   if (!O.ReproPath.empty())
     return runRepro(O);
-  if (O.Inject)
-    return runInject(O);
-  if (O.Oracle == "step")
-    return runStep(O);
-  if (O.Oracle == "crosslevel")
-    return runCrossLevel(O);
 
-  CampaignConfig C;
-  C.Seed = O.Seed;
-  C.Count = O.Count;
-  C.Gen.Alias = O.Alias;
+  const unsigned TimeoutMs =
+      O.TimeoutMs < 0 ? 20'000 : static_cast<unsigned>(O.TimeoutMs);
+  if (O.Inject) {
+    auto C = configFor<InjectCampaignConfig>(O);
+    if (C.FailureDir == "fuzz-failures")
+      C.FailureDir = "fuzz-crashes";
+    C.Promote = O.Promote;
+    C.Isolate = O.Isolate != 0; // Default on for --inject.
+    C.TimeoutMs = TimeoutMs;
+    InjectCampaignResult R = runInjectCampaign(C);
+    return finish(O, R, injectReport(R, C.Isolate));
+  }
+  if (O.Oracle == "step") {
+    auto C = configFor<StepCampaignConfig>(O);
+    C.BothPromoteModes = O.BothModes;
+    C.Promote = O.Promote;
+    StepCampaignResult R = runStepCampaign(C);
+    return finish(O, R, stepReport(R));
+  }
+  if (O.Oracle == "crosslevel") {
+    CrossLevelCampaignResult R =
+        runCrossLevelCampaign(configFor<CrossLevelCampaignConfig>(O));
+    return finish(O, R, crossLevelReport(R));
+  }
+  auto C = configFor<CampaignConfig>(O);
   C.BothPromoteModes = O.BothModes;
   C.Promote = O.Promote;
-  C.Level = O.Level;
-  C.Shrink = O.Shrink;
-  C.WriteFailures = O.Write;
-  C.FailureDir = O.WriteDir;
   C.Isolate = O.Isolate == 1;
-  C.TimeoutMs = O.TimeoutMs;
-  C.Jobs = O.Jobs;
-  C.ShardIndex = O.ShardIndex;
-  C.ShardCount = O.ShardCount;
-  C.CollectTrace = !O.TraceJson.empty();
+  C.TimeoutMs = TimeoutMs;
   CampaignResult R = runCampaign(C);
-  if (!R.ConfigError.empty()) {
-    std::fprintf(stderr, "sldb-fuzz: %s\n", R.ConfigError.c_str());
-    return 2;
-  }
-  if (O.WorkerStats)
-    printWorkerStats(R.Workers);
-  if (!O.TraceJson.empty() && !writeTraceFile(O.TraceJson, R.Trace))
-    return 2;
-
-  std::printf("programs:      %u (%u lockstep runs)\n", R.Programs,
-              R.Runs);
-  std::printf("paired stops:  %llu (%llu variable observations)\n",
-              static_cast<unsigned long long>(R.Stops),
-              static_cast<unsigned long long>(R.Observations));
-  std::printf("coverage:      hoisted %u, sunk %u, dead-marks %u, "
-              "avail-marks %u, iv-recoveries %u (of %u programs)\n",
-              R.Coverage.WithHoisted, R.Coverage.WithSunk,
-              R.Coverage.WithDeadMarks, R.Coverage.WithAvailMarks,
-              R.Coverage.WithSRRecords, R.Programs);
-  for (const PassFiring &F : R.Coverage.Firings)
-    if (F.Changed)
-      std::printf("  pass %-44s fired %u\n", F.Name.c_str(), F.Changed);
-  if (R.FailedCompiles)
-    std::printf("GENERATOR BUG: %u programs failed to compile\n",
-                R.FailedCompiles);
-
-  if (R.sound()) {
-    std::printf("soundness:     OK (no Current-with-wrong-value, no wrong "
-                "recovery, tables consistent)\n");
-    return finishCampaign(0, R.SkippedUnits);
-  }
-  std::printf("soundness:     %zu FAILING program(s)\n", R.Failures.size());
-  for (const CampaignFailure &F : R.Failures) {
-    std::printf("  seed %u (promote-vars %s): %s\n", F.Seed,
-                F.Promote ? "on" : "off",
-                F.Violations.front().str().c_str());
-    if (!F.Path.empty())
-      std::printf("    reproducer: %s\n", F.Path.c_str());
-  }
-  return finishCampaign(1, R.SkippedUnits);
+  return finish(O, R, diffReport(R));
 }
