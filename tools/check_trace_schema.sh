@@ -4,9 +4,9 @@
 #
 #   check_trace_schema.sh <sldbc> <sldb-fuzz> <input.mc>
 #
-# Generates a compile+debug trace, a debug-info export trace and a
-# merged campaign trace into a temporary directory and checks, for each
-# document:
+# Generates a compile+debug trace, a debug-info export trace and two
+# merged campaign traces (diff and stepping oracles) into a temporary
+# directory and checks, for each document:
 #
 #   * top-level shape: {"traceEvents": [...], "displayTimeUnit": ...};
 #   * per event: required keys (name, cat, ph, ts, pid, tid), ph is one
@@ -15,7 +15,8 @@
 #     writer sorts by (tid, ts));
 #   * "X" spans nest properly within each tid: a span overlapping an
 #     enclosing span must be fully contained in it (balanced spans);
-#   * the export trace holds a "debuginfo.render" span.
+#   * the export trace holds a "debuginfo.render" span, and each campaign
+#     trace holds "campaign.unit" spans.
 #
 # Exit status 0 when every generated trace validates, 1 otherwise.
 set -eu
@@ -44,6 +45,11 @@ trap 'rm -rf "$TMP"' EXIT
 #    deterministic seed-major merge actually has something to merge).
 "$SLDB_FUZZ" --seed 5 --count 6 --jobs 2 --no-write \
   --trace-json "$TMP/campaign.json" >/dev/null
+
+# 4. The same through the stepping oracle: every oracle's campaign goes
+#    through the one driver, so each writes the merged trace.
+"$SLDB_FUZZ" --oracle=step --seed 5 --count 3 --jobs 2 --no-write \
+  --trace-json "$TMP/step.json" >/dev/null
 
 # validate <trace.json> [required-span-name...]
 validate() {
@@ -114,4 +120,5 @@ PYEOF
 
 validate "$TMP/compile.json"
 validate "$TMP/export.json" debuginfo.render
-validate "$TMP/campaign.json"
+validate "$TMP/campaign.json" campaign.unit
+validate "$TMP/step.json" campaign.unit
