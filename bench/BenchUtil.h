@@ -15,9 +15,8 @@
 #ifndef SLDB_BENCH_BENCHUTIL_H
 #define SLDB_BENCH_BENCHUTIL_H
 
-#include "codegen/ISel.h"
+#include "eval/Levels.h"
 #include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include "bench/BenchSnapshot.h"
 
@@ -38,6 +37,21 @@ inline std::unique_ptr<IRModule> compile(std::string_view Src) {
     std::abort();
   }
   return M;
+}
+
+/// Builds \p Src at \p Level; a benchmark source that does not build is
+/// a library bug.
+inline CompiledModule build(std::string_view Src, const LevelSpec &Level,
+                            bool Schedule = true) {
+  CompileOptions CO;
+  CO.Schedule = Schedule;
+  Expected<CompiledModule> CM = compileModule(Src, Level, CO);
+  if (!CM) {
+    std::fprintf(stderr, "benchmark source failed to build at %s: %s\n",
+                 Level.Name, CM.status().str().c_str());
+    std::abort();
+  }
+  return std::move(*CM);
 }
 
 inline void rule(char C = '-', int Width = 72) {

@@ -24,9 +24,10 @@ using namespace sldb;
 
 namespace {
 
+/// One ablation row: its own level (frame slots: no register
+/// allocation) and whether §2.5 recovery is on.
 struct Config {
-  const char *Name;
-  OptOptions Opts;
+  LevelSpec Level;
   bool Recovery;
 };
 
@@ -44,13 +45,15 @@ std::vector<Config> configs() {
   PreOnly.PRE = true;
   PreOnly.BranchOpt = true;
 
+  const LevelSpec &O0 = levelSpec(PipelineLevel::O0);
+  const LevelSpec &Full = levelSpec(PipelineLevel::O2Frame);
   return {
-      {"none (baseline)", OptOptions::none(), true},
-      {"hoisting only (PRE)", PreOnly, true},
-      {"elimination only (DCE)", DceOnly, true},
-      {"elimination + sinking (DCE+PDE)", PdeOnly, true},
-      {"full pipeline", OptOptions::all(), true},
-      {"full pipeline, recovery OFF", OptOptions::all(), false},
+      {{O0.Level, "none (baseline)", O0.Opts, false}, true},
+      {{Full.Level, "hoisting only (PRE)", PreOnly, false}, true},
+      {{Full.Level, "elimination only (DCE)", DceOnly, false}, true},
+      {{Full.Level, "elimination + sinking (DCE+PDE)", PdeOnly, false}, true},
+      {{Full.Level, "full pipeline", Full.Opts, false}, true},
+      {{Full.Level, "full pipeline, recovery OFF", Full.Opts, false}, false},
   };
 }
 
@@ -67,9 +70,7 @@ static void printAblation() {
   for (const Config &C : configs()) {
     double Noncur = 0, Susp = 0, Rec = 0;
     for (const BenchProgram &P : benchmarkPrograms()) {
-      ClassAverages A = measureClassification(P, C.Opts,
-                                              /*Promote=*/false,
-                                              C.Recovery);
+      ClassAverages A = measureClassification(P, C.Level, C.Recovery);
       Noncur += A.Noncurrent;
       Susp += A.Suspect;
       Rec += A.Recovered;
@@ -77,8 +78,8 @@ static void printAblation() {
     Noncur /= 8;
     Susp /= 8;
     Rec /= 8;
-    std::printf("%-32s %10.3f %9.3f %9.3f %9.3f\n", C.Name, Noncur, Susp,
-                Rec, Noncur + Susp + Rec);
+    std::printf("%-32s %10.3f %9.3f %9.3f %9.3f\n", C.Level.Name, Noncur,
+                Susp, Rec, Noncur + Susp + Rec);
   }
   bench::rule('-', 78);
   std::printf(
@@ -91,11 +92,11 @@ static void BM_AblationSweep(benchmark::State &State) {
   auto Cs = configs();
   const Config &C = Cs[static_cast<std::size_t>(State.range(0))];
   for (auto _ : State) {
-    ClassAverages A = measureClassification(
-        benchmarkPrograms()[0], C.Opts, /*Promote=*/false, C.Recovery);
+    ClassAverages A =
+        measureClassification(benchmarkPrograms()[0], C.Level, C.Recovery);
     benchmark::DoNotOptimize(A.Noncurrent);
   }
-  State.SetLabel(C.Name);
+  State.SetLabel(C.Level.Name);
 }
 BENCHMARK(BM_AblationSweep)->DenseRange(0, 5);
 

@@ -33,12 +33,8 @@ const char *Fig2 = R"(
   }
 )";
 
-MachineModule buildFig2(std::unique_ptr<IRModule> &Keep) {
-  Keep = bench::compile(Fig2);
-  OptOptions O = OptOptions::none();
-  O.PRE = true;
-  runPipeline(*Keep, O);
-  return compileToMachine(*Keep, CodegenOptions());
+CompiledModule buildFig2() {
+  return bench::build(Fig2, levelSpec(PipelineLevel::PRE));
 }
 
 } // namespace
@@ -46,8 +42,8 @@ MachineModule buildFig2(std::unique_ptr<IRModule> &Keep) {
 static void printFigure2() {
   std::printf("Figure 2: Example of code hoisting\n");
   bench::rule();
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  CompiledModule Fig = buildFig2();
+  const MachineModule &MM = Fig.MM;
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = InvalidVar;
@@ -83,15 +79,15 @@ static void BM_PREOnFig2(benchmark::State &State) {
     auto M = bench::compile(Fig2);
     OptOptions O = OptOptions::none();
     O.PRE = true;
-    runPipeline(*M, O);
+    runPipelineEx(*M, O, PipelineConfig());
     benchmark::DoNotOptimize(M->Funcs.size());
   }
 }
 BENCHMARK(BM_PREOnFig2);
 
 static void BM_ClassifierConstruction(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  CompiledModule Fig = buildFig2();
+  const MachineModule &MM = Fig.MM;
   for (auto _ : State) {
     Classifier C(MM.Funcs[0], *MM.Info);
     benchmark::DoNotOptimize(&C);
@@ -100,8 +96,8 @@ static void BM_ClassifierConstruction(benchmark::State &State) {
 BENCHMARK(BM_ClassifierConstruction);
 
 static void BM_SingleClassification(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  CompiledModule Fig = buildFig2();
+  const MachineModule &MM = Fig.MM;
   Classifier C(MM.Funcs[0], *MM.Info);
   VarId X = 4; // x.
   for (auto _ : State) {

@@ -34,14 +34,10 @@ const char *Fig3 = R"(
   }
 )";
 
-MachineModule buildFig3(std::unique_ptr<IRModule> &Keep) {
-  Keep = bench::compile(Fig3);
-  OptOptions O = OptOptions::none();
-  O.PDE = true;
-  runPipeline(*Keep, O);
-  CodegenOptions CG;
-  CG.PromoteVars = false; // Figure 5(a) configuration: all resident.
-  return compileToMachine(*Keep, CG);
+/// The pde level: sinking alone, in the Figure 5(a) configuration (all
+/// variables resident).
+CompiledModule buildFig3() {
+  return bench::build(Fig3, levelSpec(PipelineLevel::PDE));
 }
 
 } // namespace
@@ -49,8 +45,8 @@ MachineModule buildFig3(std::unique_ptr<IRModule> &Keep) {
 static void printFigure3() {
   std::printf("Figure 3: Example of dead code elimination (sinking)\n");
   bench::rule();
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig3(Keep);
+  CompiledModule Fig = buildFig3();
+  const MachineModule &MM = Fig.MM;
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = InvalidVar;
@@ -84,15 +80,15 @@ static void BM_PDEOnFig3(benchmark::State &State) {
     auto M = bench::compile(Fig3);
     OptOptions O = OptOptions::none();
     O.PDE = true;
-    runPipeline(*M, O);
+    runPipelineEx(*M, O, PipelineConfig());
     benchmark::DoNotOptimize(M->Funcs.size());
   }
 }
 BENCHMARK(BM_PDEOnFig3);
 
 static void BM_DeadReachAnalysis(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig3(Keep);
+  CompiledModule Fig = buildFig3();
+  const MachineModule &MM = Fig.MM;
   for (auto _ : State) {
     Classifier C(MM.Funcs[0], *MM.Info);
     benchmark::DoNotOptimize(&C);

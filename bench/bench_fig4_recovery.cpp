@@ -36,9 +36,8 @@ static void printFigure4() {
   std::printf("Figure 4: Recovery of an eliminated variable from a CSE "
               "temporary\n");
   bench::rule();
-  auto M = bench::compile(Fig4);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  CompiledModule Fig = bench::build(Fig4, levelSpec(PipelineLevel::O2));
+  const MachineModule &MM = Fig.MM;
   Debugger Dbg(MM);
   FuncId Main = MM.Info->findFunc("main");
   bool Set = Dbg.setBreakpointAtStmt(Main, 5); // print(a).
@@ -63,18 +62,15 @@ static void printFigure4() {
 
 static void BM_RecoveryPipeline(benchmark::State &State) {
   for (auto _ : State) {
-    auto M = bench::compile(Fig4);
-    runPipeline(*M, OptOptions::all());
-    MachineModule MM = compileToMachine(*M, CodegenOptions());
-    benchmark::DoNotOptimize(MM.Funcs.size());
+    CompiledModule Fig = bench::build(Fig4, levelSpec(PipelineLevel::O2));
+    benchmark::DoNotOptimize(Fig.MM.Funcs.size());
   }
 }
 BENCHMARK(BM_RecoveryPipeline);
 
 static void BM_DebuggerQuery(benchmark::State &State) {
-  auto M = bench::compile(Fig4);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  CompiledModule Fig = bench::build(Fig4, levelSpec(PipelineLevel::O2));
+  const MachineModule &MM = Fig.MM;
   Debugger Dbg(MM);
   Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 5);
   Dbg.run();

@@ -25,7 +25,7 @@ static void printFigure5a() {
   bench::rule('-', 84);
   for (const BenchProgram &P : benchmarkPrograms()) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/false);
+        measureClassification(P, levelSpec(PipelineLevel::O2Frame));
     double Total = A.Uninitialized + A.Current + A.endangered() +
                    A.Nonresident;
     std::printf(
@@ -48,7 +48,7 @@ static void BM_ClassifySweepNoRegalloc(benchmark::State &State) {
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
   for (auto _ : State) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/false);
+        measureClassification(P, levelSpec(PipelineLevel::O2Frame));
     benchmark::DoNotOptimize(A.Current);
   }
   State.SetLabel(P.Name);

@@ -27,7 +27,7 @@ static void printFigure5b() {
   double SumEndangered = 0, SumNonres = 0;
   for (const BenchProgram &P : benchmarkPrograms()) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/true);
+        measureClassification(P, levelSpec(PipelineLevel::O2));
     std::printf("%-10s %8.2f %8.2f %11.2f %8.2f  %5.2f/%-5.2f\n", P.Name,
                 A.Uninitialized, A.Current, A.endangered(), A.Nonresident,
                 A.Noncurrent, A.Suspect);
@@ -47,7 +47,7 @@ static void BM_ClassifySweepRegalloc(benchmark::State &State) {
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
   for (auto _ : State) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/true);
+        measureClassification(P, levelSpec(PipelineLevel::O2));
     benchmark::DoNotOptimize(A.Nonresident);
   }
   State.SetLabel(P.Name);

@@ -28,13 +28,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchSnapshot.h"
-#include "codegen/ISel.h"
 #include "core/Classifier.h"
 #include "eval/Levels.h"
 #include "eval/Programs.h"
 #include "fuzz/Campaign.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <algorithm>
 #include <chrono>
@@ -79,21 +76,17 @@ std::vector<std::string> aliasCorpus() {
   return Srcs;
 }
 
-/// One timed compile sweep: 3 x 60 programs through the pipeline with
-/// the given pass selection.
+/// One timed compile sweep: 3 x 60 programs built at \p Level.
 double compileSweep(const std::vector<std::string> &Srcs,
-                    const OptOptions &Opts, bool Cached, unsigned &Funcs) {
-  PipelineConfig Config;
-  Config.DisableAnalysisCache = !Cached;
+                    const LevelSpec &Level, bool Cached, unsigned &Funcs) {
+  CompileOptions CO;
+  CO.Config.DisableAnalysisCache = !Cached;
   auto T0 = Clock::now();
   Funcs = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     for (const std::string &S : Srcs) {
-      DiagnosticEngine D;
-      auto M = compileToIR(S, D);
-      runPipelineEx(*M, Opts, Config);
-      MachineModule MM = compileToMachine(*M, CodegenOptions());
-      Funcs += static_cast<unsigned>(MM.Funcs.size());
+      Expected<CompiledModule> CM = compileModule(S, Level, CO);
+      Funcs += CM ? static_cast<unsigned>(CM->MM.Funcs.size()) : 0;
     }
   return msSince(T0);
 }
@@ -105,10 +98,11 @@ double querySweep(std::uint64_t &Queries) {
   Queries = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     for (const BenchProgram &P : benchmarkPrograms()) {
-      DiagnosticEngine D;
-      auto M = compileToIR(P.Source, D);
-      runPipeline(*M, OptOptions::all());
-      MachineModule MM = compileToMachine(*M, CodegenOptions());
+      Expected<CompiledModule> CM =
+          compileModule(P.Source, levelSpec(PipelineLevel::O2));
+      if (!CM)
+        continue;
+      const MachineModule &MM = CM->MM;
       for (const MachineFunction &MF : MM.Funcs) {
         Classifier CL(MF, *MM.Info);
         const FuncInfo &FI = MM.Info->func(MF.Id);
@@ -170,28 +164,26 @@ int main(int Argc, char **Argv) {
   unsigned Funcs = 0;
   std::uint64_t Queries = 0;
 
+  const LevelSpec &O2 = levelSpec(PipelineLevel::O2);
   double CompileMs = 1e300, UncachedMs = 1e300, SweepMs = 1e300;
   double SsaCompileMs = 1e300, AliasCompileMs = 1e300;
   for (int Rep = 0; Rep < 5; ++Rep)
-    CompileMs =
-        std::min(CompileMs, compileSweep(Srcs, OptOptions::all(), true, Funcs));
+    CompileMs = std::min(CompileMs, compileSweep(Srcs, O2, true, Funcs));
   for (int Rep = 0; Rep < 3; ++Rep)
-    UncachedMs = std::min(UncachedMs,
-                          compileSweep(Srcs, OptOptions::all(), false, Funcs));
+    UncachedMs = std::min(UncachedMs, compileSweep(Srcs, O2, false, Funcs));
   // The SSA tier's cost on top of the lockstep set: same corpus through
   // the O2nl-ssa level (construct + GVN + sparse prop + destruct).
   const LevelSpec *Ssa = findLevel("O2nl-ssa");
   unsigned SsaFuncs = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     SsaCompileMs =
-        std::min(SsaCompileMs, compileSweep(Srcs, Ssa->Opts, true, SsaFuncs));
+        std::min(SsaCompileMs, compileSweep(Srcs, *Ssa, true, SsaFuncs));
   // Aliasing corpus through the full lockstep set: how much the
   // arrays/pointers grammar costs end to end.
   unsigned AliasFuncs = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     AliasCompileMs = std::min(
-        AliasCompileMs, compileSweep(AliasSrcs, OptOptions::all(), true,
-                                     AliasFuncs));
+        AliasCompileMs, compileSweep(AliasSrcs, O2, true, AliasFuncs));
   for (int Rep = 0; Rep < 5; ++Rep)
     SweepMs = std::min(SweepMs, querySweep(Queries));
 

@@ -37,7 +37,7 @@ static void BM_SinglePass(benchmark::State &State) {
     State.PauseTiming();
     auto M = bench::compile(P.Source);
     State.ResumeTiming();
-    runPipeline(*M, OptOptions::all());
+    runPipelineEx(*M, OptOptions::all(), PipelineConfig());
     benchmark::DoNotOptimize(M->Funcs.size());
   }
   State.SetLabel(P.Name);
@@ -53,7 +53,7 @@ static void BM_PipelineNoPRE(benchmark::State &State) {
     State.PauseTiming();
     auto M = bench::compile(P.Source);
     State.ResumeTiming();
-    runPipeline(*M, O);
+    runPipelineEx(*M, O, PipelineConfig());
     benchmark::DoNotOptimize(M->Funcs.size());
   }
   State.SetLabel(P.Name);

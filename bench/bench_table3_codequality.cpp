@@ -52,11 +52,9 @@ static void printTable3() {
 static void BM_RunOptimized(benchmark::State &State) {
   const BenchProgram &P =
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
-  auto M = bench::compile(P.Source);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  CompiledModule CM = bench::build(P.Source, levelSpec(PipelineLevel::O2));
   for (auto _ : State) {
-    Machine VM(MM);
+    Machine VM(CM.MM);
     VM.run();
     benchmark::DoNotOptimize(VM.instrCount());
   }
@@ -67,13 +65,10 @@ BENCHMARK(BM_RunOptimized)->DenseRange(0, 7);
 static void BM_RunUnoptimized(benchmark::State &State) {
   const BenchProgram &P =
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
-  auto M = bench::compile(P.Source);
-  CodegenOptions CG;
-  CG.PromoteVars = false;
-  CG.Schedule = false;
-  MachineModule MM = compileToMachine(*M, CG);
+  CompiledModule CM =
+      bench::build(P.Source, levelSpec(PipelineLevel::O0), /*Schedule=*/false);
   for (auto _ : State) {
-    Machine VM(MM);
+    Machine VM(CM.MM);
     VM.run();
     benchmark::DoNotOptimize(VM.instrCount());
   }

@@ -24,7 +24,7 @@ static void printTable4() {
   bench::rule();
   for (const BenchProgram &P : benchmarkPrograms()) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/false);
+        measureClassification(P, levelSpec(PipelineLevel::O2Frame));
     std::printf("%-10s %12.3f %12.3f %9.1f%%\n", P.Name, A.Noncurrent,
                 A.Suspect, A.pctSuspectOfEndangered());
   }
@@ -38,7 +38,7 @@ static void BM_SuspectMeasurement(benchmark::State &State) {
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
   for (auto _ : State) {
     ClassAverages A =
-        measureClassification(P, OptOptions::all(), /*Promote=*/false);
+        measureClassification(P, levelSpec(PipelineLevel::O2Frame));
     benchmark::DoNotOptimize(A.Suspect);
   }
   State.SetLabel(P.Name);

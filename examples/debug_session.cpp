@@ -12,11 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
+#include "eval/Levels.h"
 #include "eval/Programs.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <cstdio>
 
@@ -28,14 +26,14 @@ int main() {
               "pipeline + register allocation\n\n",
               Compress.Name, Compress.Description);
 
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Compress.Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+  Expected<CompiledModule> CM =
+      compileModule(Compress.Source, levelSpec(PipelineLevel::O2));
+  if (!CM) {
+    std::fprintf(stderr, "compile error:\n%s\n",
+                 CM.status().message().c_str());
     return 1;
   }
-  runPipeline(*Module, OptOptions::all());
-  MachineModule MM = compileToMachine(*Module, CodegenOptions());
+  const MachineModule &MM = CM->MM;
 
   Debugger Dbg(MM);
   FuncId CompressFn = MM.Info->findFunc("compress");

@@ -11,10 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
+#include "eval/Levels.h"
 
 #include <cstdio>
 #include <memory>
@@ -23,23 +21,22 @@ using namespace sldb;
 
 namespace {
 
-/// Pool keeping IRModules alive behind their MachineModules.
-std::vector<std::unique_ptr<IRModule>> Pool;
+/// Keeps every stop of the tour's build alive until the tour ends.
+std::vector<std::unique_ptr<CompiledModule>> Pool;
 
-MachineModule build(const char *Source, OptOptions Opts,
-                    bool Promote = true) {
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+/// Builds \p Source with one hand-picked pass set: each stop of the tour
+/// isolates the transformation that endangers its variable.
+const MachineModule &build(const char *Source, OptOptions Opts,
+                           bool Promote = true) {
+  Expected<CompiledModule> CM = compileModule(
+      Source, LevelSpec{PipelineLevel::O2, "tour", Opts, Promote});
+  if (!CM) {
+    std::fprintf(stderr, "compile error:\n%s\n",
+                 CM.status().message().c_str());
     std::abort();
   }
-  runPipeline(*Module, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*Module, CG);
-  Pool.push_back(std::move(Module));
-  return MM;
+  Pool.push_back(std::make_unique<CompiledModule>(std::move(*CM)));
+  return Pool.back()->MM;
 }
 
 void show(Debugger &Dbg, const char *Var) {
@@ -67,7 +64,7 @@ int main() {
   // ------------------------------------------------------------------
   banner("uninitialized: no assignment reaches the breakpoint");
   {
-    MachineModule MM = build(R"(
+    const MachineModule &MM = build(R"(
       int main() {
         int pending;
         int base = 10;        // s1: break here; pending not yet assigned
@@ -88,7 +85,7 @@ int main() {
   {
     OptOptions O = OptOptions::none();
     O.PRE = true;
-    MachineModule MM = build(R"(
+    const MachineModule &MM = build(R"(
       int main() {
         int u = 7; int v = 3; int y = 2; int z = 4;
         int x = u - v;
@@ -112,7 +109,7 @@ int main() {
   {
     OptOptions O = OptOptions::none();
     O.PDE = true;
-    MachineModule MM = build(R"(
+    const MachineModule &MM = build(R"(
       int main() {
         int u = 5; int v = 2; int y = 3; int z = 4;
         int x = y + z;        // sunk into the else branch
@@ -144,7 +141,7 @@ int main() {
   banner("recovery: DCE'd variable reconstructed from an alias "
          "(Figure 4)");
   {
-    MachineModule MM = build(R"(
+    const MachineModule &MM = build(R"(
       int main() {
         int a = 7;
         int c = a;            // dead; c aliases a
@@ -168,7 +165,7 @@ int main() {
              std::to_string(I) + "; acc = t" + std::to_string(I) +
              " * 2 - acc;\n";
     Src += "  print(acc);\n  return 0;\n}\n"; // `first` long dead here.
-    MachineModule MM = build(Src.c_str(), OptOptions::none());
+    const MachineModule &MM = build(Src.c_str(), OptOptions::none());
     Debugger Dbg(MM);
     const MachineFunction *Main = MM.findFunc("main");
     StmtId Last = 0;
@@ -186,7 +183,7 @@ int main() {
   // ------------------------------------------------------------------
   banner("current: shown without warnings");
   {
-    MachineModule MM = build(R"(
+    const MachineModule &MM = build(R"(
       int main() {
         int a = 3;
         int b = a * 7;

@@ -13,6 +13,7 @@
 
 #include "codegen/ISel.h"
 #include "codegen/MachineIR.h"
+#include "eval/Levels.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "opt/Pass.h"
@@ -75,7 +76,14 @@ int main() {
                 printModule(*Module).c_str());
   }
 
-  MachineModule MM = compileToMachine(*Module, CodegenOptions());
+  Expected<MachineModule> Machine =
+      compileToMachineE(*Module, CodegenOptions());
+  if (!Machine) {
+    std::fprintf(stderr, "codegen error: %s\n",
+                 Machine.status().str().c_str());
+    return 1;
+  }
+  const MachineModule &MM = *Machine;
   const MachineFunction &MF = *MM.findFunc("main");
   std::printf("==== final R3K code ====\n%s\n",
               printMachineFunction(MF, MM.Info).c_str());

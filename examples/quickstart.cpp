@@ -11,10 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
+#include "eval/Levels.h"
 
 #include <cstdio>
 
@@ -35,20 +33,19 @@ int main() {
     }
   )";
 
-  // 1. Compile with the full cmcc-style optimization pipeline.
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+  // 1. Compile at O2: the full cmcc-style optimization pipeline, then
+  //    R3K machine code (graph-coloring register allocation, list
+  //    scheduling) with the debug tables of paper §3.
+  Expected<CompiledModule> Build =
+      compileModule(Source, levelSpec(PipelineLevel::O2));
+  if (!Build) {
+    std::fprintf(stderr, "compile error:\n%s\n",
+                 Build.status().message().c_str());
     return 1;
   }
-  runPipeline(*Module, OptOptions::all());
+  const MachineModule &Machine = Build->MM;
 
-  // 2. Generate R3K machine code (graph-coloring register allocation,
-  //    list scheduling) with the debug tables of paper §3.
-  MachineModule Machine = compileToMachine(*Module, CodegenOptions());
-
-  // 3. Debug the *optimized* code, non-invasively.
+  // 2. Debug the *optimized* code, non-invasively.
   Debugger Dbg(Machine);
   FuncId Main = Machine.Info->findFunc("main");
   StmtId PrintStmt = 5; // The `total = total - discount` assignment.

@@ -10,9 +10,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -856,12 +854,4 @@ Status sldb::allocateRegistersE(MachineFunction &MF,
                          "uncolored virtual register in '" + MF.Name + "'");
   A.computeDebugTables();
   return Status::success();
-}
-
-void sldb::allocateRegisters(MachineFunction &MF, const ProgramInfo &Info) {
-  Status S = allocateRegistersE(MF, Info);
-  if (!S.ok()) {
-    std::fprintf(stderr, "sldb: %s\n", S.str().c_str());
-    std::abort();
-  }
 }

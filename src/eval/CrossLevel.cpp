@@ -6,9 +6,6 @@
 
 #include "eval/CrossLevel.h"
 
-#include "codegen/ISel.h"
-#include "ir/IRGen.h"
-
 #include <map>
 #include <optional>
 #include <tuple>
@@ -50,77 +47,6 @@ bool refused(const PointVerdict &V) {
   return V.Kind == VarClass::Suspect || V.Kind == VarClass::Nonresident;
 }
 
-/// Classifies one compiled build and records both the coverage counts
-/// and the per-point verdict matrix column.  Returns false (with \p Err
-/// set) when the build fails.
-bool classifyLevel(std::string_view Src, const LevelSpec &Spec,
-                   CoverageCounts &CC,
-                   std::map<PointKey, PointVerdict> &Column,
-                   std::map<PointKey, unsigned> &Lines, std::string &Err) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  if (!M) {
-    Err = Diags.hasErrors() ? Diags.str() : "frontend error";
-    return false;
-  }
-  Status PS = runPipelineEx(*M, Spec.Opts, PipelineConfig());
-  if (!PS.ok()) {
-    Err = std::string(Spec.Name) + ": " + PS.str();
-    return false;
-  }
-  CodegenOptions CG;
-  CG.PromoteVars = Spec.Promote;
-  CG.Schedule = false; // Match the lockstep oracle's builds.
-  Expected<MachineModule> MME = compileToMachineE(*M, CG);
-  if (!MME) {
-    Err = std::string(Spec.Name) + ": " + MME.status().str();
-    return false;
-  }
-  MachineModule &MM = *MME;
-
-  CC.Level = Spec.Name;
-  for (const MachineFunction &MF : MM.Funcs) {
-    Classifier C(MF, *MM.Info);
-    const FuncInfo &FI = MM.Info->func(MF.Id);
-    CC.SrcStmts += MF.StmtAddr.size();
-    for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
-      if (MF.StmtAddr[S] < 0)
-        continue;
-      ++CC.CodeStmts;
-      std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-      for (VarId V : FI.Stmts[S].ScopeVars) {
-        Classification R = C.classify(Addr, V);
-        ++CC.Points;
-        switch (R.Kind) {
-        case VarClass::Uninitialized:
-          ++CC.Uninitialized;
-          break;
-        case VarClass::Nonresident:
-          ++CC.Nonresident;
-          break;
-        case VarClass::Noncurrent:
-          ++CC.Noncurrent;
-          break;
-        case VarClass::Suspect:
-          ++CC.Suspect;
-          break;
-        case VarClass::Current:
-          ++CC.Current;
-          break;
-        }
-        if (R.Recoverable)
-          ++CC.Recovered;
-        if (R.Degraded)
-          ++CC.Degraded;
-        PointKey K{MF.Id, S, V};
-        Column[K] = {R.Kind, R.Recoverable};
-        Lines.emplace(K, FI.Stmts[S].Loc.Line);
-      }
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 ProgramSweep sldb::sweepProgram(std::string_view Name,
@@ -137,20 +63,34 @@ ProgramSweep sldb::sweepProgram(std::string_view Name,
   std::map<PointKey, unsigned> Lines;
 
   // The variable/function name tables are identical at every level (the
-  // frontend produces them); keep one build's ProgramInfo for rendering.
-  DiagnosticEngine Diags;
-  auto NamesM = compileToIR(Src, Diags);
-  if (!NamesM) {
-    PS.CompileError = Diags.hasErrors() ? Diags.str() : "frontend error";
-    return PS;
-  }
-  const ProgramInfo &Info = *NamesM->Info;
-
-  for (std::size_t L = 0; L < Table.size(); ++L)
-    if (!classifyLevel(Src, Table[L], PS.Levels[L], Columns[L], Lines,
-                       PS.CompileError))
+  // frontend produces them); keep the first build's for rendering.
+  std::unique_ptr<IRModule> Names;
+  CompileOptions Unscheduled; // Match the lockstep oracle's builds.
+  Unscheduled.Schedule = false;
+  for (std::size_t L = 0; L < Table.size(); ++L) {
+    Expected<CompiledModule> CM = compileModule(Src, Table[L], Unscheduled);
+    if (!CM) {
+      const Status &S = CM.status();
+      PS.CompileError = S.code() == ErrorCode::SourceError
+                            ? S.message()
+                            : std::string(Table[L].Name) + ": " + S.str();
       return PS;
+    }
+    PS.Levels[L].Level = Table[L].Name;
+    const ProgramInfo &LInfo = *CM->MM.Info;
+    countBuild(CM->MM, PS.Levels[L], /*EnableRecovery=*/true,
+               /*DegradeAll=*/false,
+               [&](const MachineFunction &MF, StmtId S, VarId V,
+                   const Classification &R) {
+                 PointKey K{MF.Id, S, V};
+                 Columns[L][K] = {R.Kind, R.Recoverable};
+                 Lines.emplace(K, LInfo.func(MF.Id).Stmts[S].Loc.Line);
+               });
+    if (!Names)
+      Names = std::move(CM->IR);
+  }
   PS.Compiled = true;
+  const ProgramInfo &Info = *Names->Info;
 
   // Regressions, deduped per point: for each point in canonical order,
   // scan comparable level pairs (More ascending, then Less ascending)

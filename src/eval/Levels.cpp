@@ -6,7 +6,13 @@
 
 #include "eval/Levels.h"
 
+#include "codegen/ISel.h"
+#include "ir/IRGen.h"
+#include "support/Arena.h"
 #include "support/Casting.h"
+#include "support/Diagnostics.h"
+
+#include <optional>
 
 using namespace sldb;
 
@@ -136,4 +142,45 @@ bool sldb::moreOptimized(const LevelSpec &A, const LevelSpec &B) {
 
 bool sldb::judgeable(const LevelSpec &S) {
   return !S.Opts.LoopPeel && !S.Opts.LoopUnroll && !S.Opts.Inline;
+}
+
+Expected<CompiledModule> sldb::compileModule(std::string_view Source,
+                                             const LevelSpec &L,
+                                             const CompileOptions &O) {
+  // The arena's limit is soft (allocation never fails), so an overrun is
+  // noticed at the next phase boundary and fails the build there.
+  auto OverBudget = [&](const char *Phase) -> std::optional<Status> {
+    if (!O.A || !O.A->limitExceeded())
+      return std::nullopt;
+    return Status::error(ErrorCode::ResourceExhausted,
+                         std::string("arena budget exceeded during ") + Phase +
+                             " (limit " + std::to_string(O.A->limit()) +
+                             " bytes)");
+  };
+
+  CompiledModule CM;
+  DiagnosticEngine Diags;
+  CM.IR = compileToIR(Source, Diags, O.A);
+  if (!CM.IR)
+    return Status::error(ErrorCode::SourceError,
+                         Diags.hasErrors() ? Diags.str() : "frontend error");
+  if (auto E = OverBudget("frontend"))
+    return *E;
+
+  Status PS = runPipelineEx(*CM.IR, L.Opts, O.Config, O.Stats);
+  if (!PS.ok())
+    return PS;
+  if (auto E = OverBudget("optimizer"))
+    return *E;
+
+  CodegenOptions CG;
+  CG.PromoteVars = L.Promote;
+  CG.Schedule = O.Schedule;
+  Expected<MachineModule> MM = compileToMachineE(*CM.IR, CG, O.A);
+  if (!MM)
+    return MM.status();
+  if (auto E = OverBudget("codegen"))
+    return *E;
+  CM.MM = std::move(*MM);
+  return CM;
 }

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The canonical table of optimization *levels*: named (OptOptions,
-/// PromoteVars) configurations shared by the coverage harness
-/// (eval/Measure), the cross-level sweep (eval/CrossLevel), the quality
-/// campaigns (fuzz/QualityCampaign), and the sldbc driver.  Levels used
-/// to be free-form strings in DebugCoverage reports; the table makes the
-/// label, the pass set, and the codegen mode one fact that cannot drift.
+/// PromoteVars) configurations, and compileModule, the one driver that
+/// builds source into machine code at a level.  Everything that compiles
+/// a program — the oracles, the sweeps, the measurements, sldbc and
+/// sldbd — names its pipeline by a row of this table and builds through
+/// compileModule, so the build a test judges is the build a user
+/// debugs: the label, the pass set, and the codegen mode are one fact
+/// that cannot drift.
 ///
 /// The table is a lattice under moreOptimized(): a level is more
 /// optimized than another when it enables a superset of its passes and
@@ -24,9 +26,12 @@
 #ifndef SLDB_EVAL_LEVELS_H
 #define SLDB_EVAL_LEVELS_H
 
+#include "codegen/MachineIR.h"
 #include "opt/Pass.h"
+#include "support/Status.h"
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -87,6 +92,39 @@ bool moreOptimized(const LevelSpec &A, const LevelSpec &B);
 /// of which break the syntactic stop pairing, so levels enabling any of
 /// them are static-sweep only.
 bool judgeable(const LevelSpec &S);
+
+/// A program built from source: the IR, which owns the ProgramInfo, and
+/// the machine code, whose Info points into it.  Holding both in one
+/// value keeps that pointer valid for as long as the machine code lives
+/// (members are destroyed machine code first).
+struct CompiledModule {
+  std::unique_ptr<IRModule> IR;
+  MachineModule MM;
+};
+
+/// How compileModule builds, beyond what the level row fixes.
+struct CompileOptions {
+  /// Run the local list scheduler.  The oracles and sweeps build
+  /// unscheduled so their builds pair statement for statement; sldbc
+  /// and sldbd schedule.
+  bool Schedule = true;
+  /// Arena for the IR and machine code (batch and service loads); null
+  /// lets the modules own theirs.  When it has a limit, the budget is
+  /// checked after each phase.
+  Arena *A = nullptr;
+  PipelineConfig Config = PipelineConfig::fromEnvironment();
+  PipelineStats *Stats = nullptr; ///< Per-slot pass activity, if wanted.
+};
+
+/// The one source-to-machine build: front end + IRGen, the level's
+/// pipeline, then the back end in the level's promotion mode.  Errors:
+/// SourceError carrying the front end's diagnostics; the pipeline's and
+/// the back end's own Status; ResourceExhausted "arena budget exceeded
+/// during frontend|optimizer|codegen (limit N bytes)" when the arena
+/// passed its limit in that phase.
+Expected<CompiledModule> compileModule(std::string_view Source,
+                                       const LevelSpec &L,
+                                       const CompileOptions &O = {});
 
 } // namespace sldb
 

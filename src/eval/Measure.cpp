@@ -6,10 +6,9 @@
 
 #include "eval/Measure.h"
 
-#include "codegen/ISel.h"
-#include "core/Classifier.h"
 #include "ir/IRGen.h"
 #include "support/Casting.h"
+#include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 #include "vm/Machine.h"
 
@@ -17,28 +16,47 @@ using namespace sldb;
 
 namespace {
 
-std::unique_ptr<IRModule> mustCompile(const BenchProgram &P) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(P.Source, Diags);
-  if (!M) {
-    // Benchmark sources ship with the library; failure is a library bug.
-    sldb_unreachable(("benchmark program failed to compile: " +
-                      std::string(P.Name) + "\n" + Diags.str())
+/// Builds a benchmark program at \p Level.  Benchmark sources ship with
+/// the library, so a failure is a library bug.
+CompiledModule mustBuild(const BenchProgram &P, const LevelSpec &Level,
+                         bool Schedule = true) {
+  CompileOptions CO;
+  CO.Schedule = Schedule;
+  Expected<CompiledModule> CM = compileModule(P.Source, Level, CO);
+  if (!CM)
+    sldb_unreachable(("benchmark program failed to build: " +
+                      std::string(P.Name) + " at " + Level.Name + "\n" +
+                      CM.status().str())
                          .c_str());
-  }
-  return M;
-}
-
-void mustRunPipeline(IRModule &M, const BenchProgram &P,
-                     const OptOptions &Opts) {
-  Status PS = runPipelineEx(M, Opts, PipelineConfig());
-  if (!PS.ok())
-    sldb_unreachable(("benchmark pipeline failed: " + std::string(P.Name) +
-                      ": " + PS.str())
-                         .c_str());
+  return std::move(*CM);
 }
 
 } // namespace
+
+void CoverageCounts::count(const Classification &R) {
+  ++Points;
+  switch (R.Kind) {
+  case VarClass::Uninitialized:
+    ++Uninitialized;
+    break;
+  case VarClass::Nonresident:
+    ++Nonresident;
+    break;
+  case VarClass::Noncurrent:
+    ++Noncurrent;
+    break;
+  case VarClass::Suspect:
+    ++Suspect;
+    break;
+  case VarClass::Current:
+    ++Current;
+    break;
+  }
+  if (R.Recoverable)
+    ++Recovered;
+  if (R.Degraded)
+    ++Degraded;
+}
 
 SourceStats sldb::sourceStats(const BenchProgram &P) {
   SourceStats S;
@@ -59,7 +77,12 @@ SourceStats sldb::sourceStats(const BenchProgram &P) {
   if (LineHasText)
     ++S.LinesOfCode;
 
-  auto M = mustCompile(P);
+  DiagnosticEngine Diags;
+  auto M = compileToIR(P.Source, Diags);
+  if (!M)
+    sldb_unreachable(("benchmark program failed to compile: " +
+                      std::string(P.Name) + "\n" + Diags.str())
+                         .c_str());
   S.Functions = static_cast<unsigned>(M->Info->Funcs.size());
   std::uint64_t VarSum = 0;
   for (const FuncInfo &F : M->Info->Funcs) {
@@ -74,56 +97,57 @@ SourceStats sldb::sourceStats(const BenchProgram &P) {
   return S;
 }
 
-ClassAverages sldb::measureClassification(const BenchProgram &P,
-                                          const OptOptions &Opts,
-                                          bool Promote,
-                                          bool EnableRecovery) {
-  auto M = mustCompile(P);
-  mustRunPipeline(*M, P, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-
-  ClassAverages A;
-  std::uint64_t Counts[5] = {0, 0, 0, 0, 0};
-  std::uint64_t RecoveredCount = 0;
-
+void sldb::countBuild(const MachineModule &MM, CoverageCounts &CC,
+                      bool EnableRecovery, bool DegradeAll,
+                      const PointVerdictFn &Point) {
   for (const MachineFunction &MF : MM.Funcs) {
     Classifier C(MF, *MM.Info, EnableRecovery);
+    if (DegradeAll)
+      C.degradeAllVariables();
     const FuncInfo &FI = MM.Info->func(MF.Id);
+    CC.SrcStmts += MF.StmtAddr.size();
     for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
       if (MF.StmtAddr[S] < 0)
         continue; // The statement emitted no code (paper: code location).
-      ++A.Breakpoints;
+      ++CC.CodeStmts;
       std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
       for (VarId V : FI.Stmts[S].ScopeVars) {
-        Classification CC = C.classify(Addr, V);
-        ++Counts[static_cast<unsigned>(CC.Kind)];
-        if (CC.Recoverable)
-          ++RecoveredCount;
+        Classification R = C.classify(Addr, V);
+        CC.count(R);
+        if (Point)
+          Point(MF, S, V, R);
       }
     }
   }
+}
+
+ClassAverages sldb::measureClassification(const BenchProgram &P,
+                                          const LevelSpec &Level,
+                                          bool EnableRecovery) {
+  CoverageCounts Counts;
+  countBuild(mustBuild(P, Level).MM, Counts, EnableRecovery);
+  ClassAverages A;
+  A.Breakpoints = static_cast<unsigned>(Counts.CodeStmts);
   if (A.Breakpoints == 0)
     return A;
   double N = A.Breakpoints;
-  A.Uninitialized = Counts[0] / N;
-  A.Nonresident = Counts[1] / N;
-  A.Noncurrent = Counts[2] / N;
-  A.Suspect = Counts[3] / N;
-  A.Current = Counts[4] / N;
-  A.Recovered = RecoveredCount / N;
+  A.Uninitialized = Counts.Uninitialized / N;
+  A.Nonresident = Counts.Nonresident / N;
+  A.Noncurrent = Counts.Noncurrent / N;
+  A.Suspect = Counts.Suspect / N;
+  A.Current = Counts.Current / N;
+  A.Recovered = Counts.Recovered / N;
   return A;
 }
 
 std::vector<ClassAverages>
 sldb::measureClassificationAll(const std::vector<BenchProgram> &Corpus,
-                               const OptOptions &Opts, bool Promote,
-                               bool EnableRecovery, unsigned Jobs) {
+                               const LevelSpec &Level, bool EnableRecovery,
+                               unsigned Jobs) {
   std::vector<ClassAverages> Out(Corpus.size());
   ThreadPool Pool(Jobs ? Jobs : ThreadPool::hardwareJobs());
   Pool.parallelFor(Corpus.size(), [&](std::size_t I, unsigned) {
-    Out[I] = measureClassification(Corpus[I], Opts, Promote, EnableRecovery);
+    Out[I] = measureClassification(Corpus[I], Level, EnableRecovery);
   });
   return Out;
 }
@@ -133,52 +157,9 @@ CoverageCounts sldb::measureCoverage(const std::vector<BenchProgram> &Corpus,
                                      const CoverageOptions &MO) {
   CoverageCounts CC;
   CC.Level = Level.Name;
-  for (const BenchProgram &P : Corpus) {
-    auto M = mustCompile(P);
-    mustRunPipeline(*M, P, Level.Opts);
-    CodegenOptions CG;
-    CG.PromoteVars = Level.Promote;
-    CG.Schedule = MO.Schedule;
-    MachineModule MM = compileToMachine(*M, CG);
-    for (const MachineFunction &MF : MM.Funcs) {
-      Classifier C(MF, *MM.Info);
-      if (MO.DegradeAll)
-        C.degradeAllVariables();
-      const FuncInfo &FI = MM.Info->func(MF.Id);
-      CC.SrcStmts += MF.StmtAddr.size();
-      for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
-        if (MF.StmtAddr[S] < 0)
-          continue;
-        ++CC.CodeStmts;
-        std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-        for (VarId V : FI.Stmts[S].ScopeVars) {
-          Classification R = C.classify(Addr, V);
-          ++CC.Points;
-          switch (R.Kind) {
-          case VarClass::Uninitialized:
-            ++CC.Uninitialized;
-            break;
-          case VarClass::Nonresident:
-            ++CC.Nonresident;
-            break;
-          case VarClass::Noncurrent:
-            ++CC.Noncurrent;
-            break;
-          case VarClass::Suspect:
-            ++CC.Suspect;
-            break;
-          case VarClass::Current:
-            ++CC.Current;
-            break;
-          }
-          if (R.Recoverable)
-            ++CC.Recovered;
-          if (R.Degraded)
-            ++CC.Degraded;
-        }
-      }
-    }
-  }
+  for (const BenchProgram &P : Corpus)
+    countBuild(mustBuild(P, Level, MO.Schedule).MM, CC,
+               /*EnableRecovery=*/true, MO.DegradeAll);
   return CC;
 }
 
@@ -251,17 +232,11 @@ std::string sldb::renderConservatismReport(
 CodeQuality sldb::measureCodeQuality(const BenchProgram &P,
                                      std::uint64_t Fuel) {
   CodeQuality Q;
-  auto M0 = mustCompile(P);
-  auto M2 = mustCompile(P);
-  mustRunPipeline(*M2, P, OptOptions::all());
+  CompiledModule CM0 =
+      mustBuild(P, levelSpec(PipelineLevel::O0), /*Schedule=*/false);
+  CompiledModule CM2 = mustBuild(P, levelSpec(PipelineLevel::O2));
 
-  CodegenOptions CG0;
-  CG0.PromoteVars = false;
-  CG0.Schedule = false;
-  MachineModule MM0 = compileToMachine(*M0, CG0);
-  MachineModule MM2 = compileToMachine(*M2, CodegenOptions());
-
-  Machine V0(MM0, Fuel), V2(MM2, Fuel);
+  Machine V0(CM0.MM, Fuel), V2(CM2.MM, Fuel);
   StopReason R0 = V0.run();
   StopReason R2 = V2.run();
   Q.InstrUnoptimized = V0.instrCount();

@@ -25,11 +25,12 @@
 #ifndef SLDB_EVAL_MEASURE_H
 #define SLDB_EVAL_MEASURE_H
 
+#include "core/Classifier.h"
 #include "eval/Levels.h"
 #include "eval/Programs.h"
-#include "opt/Pass.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,11 @@ struct ClassAverages {
   }
 };
 
-/// Runs the classifier over every (breakpoint, in-scope local) pair.
-/// \p Promote selects the Figure 5(b) (true) or 5(a) (false)
-/// configuration.
+/// Runs the classifier over every (breakpoint, in-scope local) pair of
+/// \p P built at \p Level: O2 is the Figure 5(b) configuration, O2-frame
+/// Figure 5(a).
 ClassAverages measureClassification(const BenchProgram &P,
-                                    const OptOptions &Opts, bool Promote,
+                                    const LevelSpec &Level,
                                     bool EnableRecovery = true);
 
 /// Measures a whole corpus, fanning the per-program measurements across
@@ -82,8 +83,8 @@ ClassAverages measureClassification(const BenchProgram &P,
 /// averaging run thread-confined on one worker.
 std::vector<ClassAverages>
 measureClassificationAll(const std::vector<BenchProgram> &Corpus,
-                         const OptOptions &Opts, bool Promote,
-                         bool EnableRecovery = true, unsigned Jobs = 1);
+                         const LevelSpec &Level, bool EnableRecovery = true,
+                         unsigned Jobs = 1);
 
 /// Debuggability coverage at one optimization level: *integer* counts of
 /// (breakpoint, in-scope variable) classification points per Figure 1
@@ -124,6 +125,9 @@ struct CoverageCounts {
                     : 0.0;
   }
 
+  /// Counts one classified (breakpoint, variable) point.
+  void count(const Classification &R);
+
   /// Sums another row's counts into this one (Level label is kept).
   void add(const CoverageCounts &O) {
     Points += O.Points;
@@ -138,6 +142,17 @@ struct CoverageCounts {
     Degraded += O.Degraded;
   }
 };
+
+/// One classified point of a build: function, statement and variable.
+using PointVerdictFn = std::function<void(
+    const MachineFunction &, StmtId, VarId, const Classification &)>;
+
+/// Classifies every (breakpoint, in-scope local) point of one build and
+/// counts it, with the build's line-table rows, into \p CC.  \p Point,
+/// when set, also sees each verdict.
+void countBuild(const MachineModule &MM, CoverageCounts &CC,
+                bool EnableRecovery = true, bool DegradeAll = false,
+                const PointVerdictFn &Point = nullptr);
 
 /// Knobs orthogonal to the level itself.
 struct CoverageOptions {

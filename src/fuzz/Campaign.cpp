@@ -96,12 +96,12 @@ struct ModeOutcome {
   std::optional<CampaignFailure> F; ///< Compile/soundness/process failure.
   std::uint64_t Stops = 0;
   std::uint64_t Observations = 0;
-  std::optional<CampaignCoverage> Coverage; ///< Instrumented units only.
+  std::optional<CampaignCoverage> Coverage; ///< Folded units only.
 };
 
 ModeOutcome judgeMode(const CampaignConfig &C, const OptOptions *Opts,
                       std::uint32_t Seed, const std::string &Src,
-                      bool Promote, bool Instrument) {
+                      bool Promote, bool FoldCoverage) {
   ModeOutcome O;
 
   if (C.Isolate) {
@@ -135,7 +135,6 @@ ModeOutcome judgeMode(const CampaignConfig &C, const OptOptions *Opts,
     LO.Opts = *Opts;
   LO.Promote = Promote;
   LO.MaxStops = C.MaxStops;
-  LO.InstrumentPasses = Instrument;
   LockstepResult LR = runLockstep(Src, LO);
 
   if (!LR.Compiled) {
@@ -150,7 +149,7 @@ ModeOutcome judgeMode(const CampaignConfig &C, const OptOptions *Opts,
   for (const StopObservation &S : LR.Stops)
     O.Observations += S.Vars.size();
 
-  if (Instrument) {
+  if (FoldCoverage) {
     O.Coverage.emplace();
     O.Coverage->Firings = LR.Firings;
     O.Coverage->WithHoisted = LR.NumHoisted != 0;
@@ -207,8 +206,8 @@ CampaignResult sldb::runCampaign(const CampaignConfig &C) {
                  : std::vector<std::string>{Single ? "on" : "off"};
   O.Judge = [&](std::uint32_t Seed, const std::string &Src, unsigned K) {
     bool Promote = Both ? K == 0 : Single;
-    // Instrument the pipeline once per program: the IR pipeline does
-    // not depend on the codegen configuration.
+    // Fold pass coverage once per program: the IR pipeline does not
+    // depend on the codegen configuration.
     return judgeMode(C, Opts, Seed, Src, Promote, Promote || !Both);
   };
   O.Fold = [&](ModeOutcome &M, FailureArchive &A) {
@@ -358,6 +357,14 @@ InjectOutcome judgeInject(const InjectCampaignConfig &C,
 }
 
 } // namespace
+
+const char *sldb::rejudgeInjected(const std::string &Src, bool Promote,
+                                  const OptOptions *Opts, FaultId Fault,
+                                  std::uint32_t Seed, std::string &Unsound) {
+  return InjectKindNames[static_cast<int>(
+      injectJudge(Src, Promote, Opts, Fault, Seed, /*OneLine=*/false,
+                  Unsound))];
+}
 
 InjectCampaignResult sldb::runInjectCampaign(const InjectCampaignConfig &Cfg) {
   InjectCampaignResult R;

@@ -23,6 +23,7 @@
 #define SLDB_FUZZ_CAMPAIGN_H
 
 #include "fuzz/CampaignDriver.h"
+#include "support/FaultInjector.h"
 
 #include <cstdint>
 #include <string>
@@ -128,6 +129,14 @@ struct InjectCampaignResult : CampaignTally {
 
 /// Runs the fault-injection campaign over all defended fault points.
 InjectCampaignResult runInjectCampaign(const InjectCampaignConfig &C);
+
+/// Re-judges one program as the fault-injection campaign judged it: the
+/// fault \p Fault armed with \p Seed around one lockstep run.  Returns the
+/// outcome ("clean", "compile-error", "degraded" or "unsound") and adds
+/// one line per unsound violation to \p Unsound.
+const char *rejudgeInjected(const std::string &Src, bool Promote,
+                            const OptOptions *Opts, FaultId Fault,
+                            std::uint32_t Seed, std::string &Unsound);
 
 /// True for the violation kinds that remain failures under fault
 /// injection (a conservative or divergent finding is the degradation

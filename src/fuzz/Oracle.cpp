@@ -7,9 +7,6 @@
 #include "fuzz/Oracle.h"
 
 #include "analysis/Dataflow.h"
-#include "codegen/ISel.h"
-#include "ir/IRGen.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <unordered_map>
@@ -115,47 +112,48 @@ bool tableResident(const MachineFunction &MF, const ProgramInfo &Info,
 
 } // namespace
 
+Expected<LockstepBuilds> sldb::compileLockstepPair(std::string_view Src,
+                                                   const OptOptions &Opts,
+                                                   bool Promote,
+                                                   PipelineStats *Stats) {
+  CompileOptions Unscheduled;
+  Unscheduled.Schedule = false;
+  auto Fail = [](const Status &S, const char *Prefix) {
+    std::string Msg = S.code() == ErrorCode::SourceError
+                          ? S.message()
+                          : Prefix + S.str();
+    return Status::error(S.code(), std::move(Msg));
+  };
+
+  FaultInjector::suspend();
+  Expected<CompiledModule> Oracle =
+      compileModule(Src, levelSpec(PipelineLevel::O0), Unscheduled);
+  FaultInjector::resume();
+  if (!Oracle)
+    return Fail(Oracle.status(), "oracle build: ");
+
+  const LevelSpec Tested{PipelineLevel::O2nl, "lockstep", Opts, Promote};
+  Unscheduled.Stats = Stats;
+  Expected<CompiledModule> Opt = compileModule(Src, Tested, Unscheduled);
+  if (!Opt)
+    return Fail(Opt.status(), "");
+  return LockstepBuilds{std::move(*Oracle), std::move(*Opt)};
+}
+
 LockstepResult sldb::runLockstep(std::string_view Src,
                                  const LockstepOptions &O) {
   LockstepResult R;
-
-  DiagnosticEngine D0, D2;
-  auto M0 = compileToIR(Src, D0);
-  auto M2 = compileToIR(Src, D2);
-  if (!M0 || !M2) {
-    R.CompileError = D0.hasErrors() ? D0.str() : "frontend error";
+  PipelineStats PS;
+  Expected<LockstepBuilds> B =
+      compileLockstepPair(Src, O.Opts, O.Promote, &PS);
+  for (const PassSlotStats &Slot : PS.Slots)
+    R.Firings.push_back({Slot.Name, Slot.Changed});
+  if (!B) {
+    R.CompileError = B.status().message();
     return R;
   }
-  Status PS = O.InstrumentPasses
-                  ? runPipelineInstrumented(*M2, O.Opts, R.Firings)
-                  : runPipelineEx(*M2, O.Opts, PipelineConfig());
-  if (!PS.ok()) {
-    R.CompileError = PS.str();
-    return R;
-  }
-
-  // The oracle build must stay pristine: an armed FaultInjector may only
-  // corrupt the optimized build it is aimed at, never the ground truth.
-  FaultInjector::suspend();
-  CodegenOptions CGOracle;
-  CGOracle.PromoteVars = false;
-  CGOracle.Schedule = false;
-  Expected<MachineModule> MMOE = compileToMachineE(*M0, CGOracle);
-  FaultInjector::resume();
-  if (!MMOE) {
-    R.CompileError = "oracle build: " + MMOE.status().str();
-    return R;
-  }
-  CodegenOptions CGOpt;
-  CGOpt.PromoteVars = O.Promote;
-  CGOpt.Schedule = false;
-  Expected<MachineModule> MM2E = compileToMachineE(*M2, CGOpt);
-  if (!MM2E) {
-    R.CompileError = MM2E.status().str();
-    return R;
-  }
-  MachineModule &MMO = *MMOE;
-  MachineModule &MM2 = *MM2E;
+  MachineModule &MMO = B->Oracle.MM;
+  MachineModule &MM2 = B->Opt.MM;
   R.Compiled = true;
 
   // Machine-level evidence of the endangering transformations.
@@ -171,7 +169,7 @@ LockstepResult sldb::runLockstep(std::string_view Src,
         if (I.Op == MOp::MAVAIL)
           ++R.NumAvailMarks;
       }
-  for (const auto &F : M2->Funcs)
+  for (const auto &F : B->Opt.IR->Funcs)
     R.NumSRRecords += static_cast<unsigned>(F->SRRecords.size());
 
   // Suspend faults around the oracle debugger's construction too: the

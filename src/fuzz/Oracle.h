@@ -23,7 +23,7 @@
 #define SLDB_FUZZ_ORACLE_H
 
 #include "core/Debugger.h"
-#include "opt/Pass.h"
+#include "eval/Levels.h"
 
 #include <string>
 #include <string_view>
@@ -101,14 +101,9 @@ struct LockstepOptions {
   /// trap message naming the budget instead of hanging the campaign.
   std::uint64_t Fuel = 50'000'000;
 
-  /// Record per-pipeline-slot firing counts (pass coverage).
-  bool InstrumentPasses = false;
-
+  /// The O2nl row's pass set.
   static OptOptions lockstepOpts() {
-    OptOptions O = OptOptions::all();
-    O.LoopPeel = false;
-    O.LoopUnroll = false;
-    return O;
+    return levelSpec(PipelineLevel::O2nl).Opts;
   }
 };
 
@@ -131,9 +126,8 @@ struct LockstepResult {
   std::int64_t ExpectedExit = 0, OptExit = 0;
   std::string ExpectedOutput, OptOutput;
 
-  /// Pipeline firing counts (when InstrumentPasses), plus machine-level
-  /// evidence of the paper's endangering transformations in the
-  /// optimized build.
+  /// Pipeline firing counts, plus machine-level evidence of the paper's
+  /// endangering transformations in the optimized build.
   std::vector<PassFiring> Firings;
   unsigned NumHoisted = 0;   ///< IsHoisted instructions (PRE/LICM).
   unsigned NumSunk = 0;      ///< IsSunk instructions (PDE).
@@ -141,6 +135,25 @@ struct LockstepResult {
   unsigned NumAvailMarks = 0;///< MAVAIL markers (PRE originals).
   unsigned NumSRRecords = 0; ///< Strength-reduction/IV recovery records.
 };
+
+/// The two builds a lockstep oracle compares: the ground truth (the O0
+/// row, unscheduled, built with fault injection suspended so an armed
+/// fault only ever hits the build under test) and the build under test
+/// (\p Opts / \p Promote, unscheduled).
+struct LockstepBuilds {
+  CompiledModule Oracle;
+  CompiledModule Opt;
+};
+
+/// Compiles both builds of \p Src.  The error's message is the compile
+/// error a lockstep result reports: the front end's diagnostics, or the
+/// failing phase's error (prefixed "oracle build: " for the ground
+/// truth's).  \p Stats, when given, receives the optimized pipeline's
+/// per-slot activity.
+Expected<LockstepBuilds> compileLockstepPair(std::string_view Src,
+                                             const OptOptions &Opts,
+                                             bool Promote,
+                                             PipelineStats *Stats = nullptr);
 
 /// Compiles \p Src twice and runs both builds in lockstep, recording one
 /// StopObservation per paired stop.  Never asserts: all findings are in

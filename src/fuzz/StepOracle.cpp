@@ -6,9 +6,6 @@
 
 #include "fuzz/StepOracle.h"
 
-#include "codegen/ISel.h"
-#include "ir/IRGen.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <map>
@@ -54,41 +51,13 @@ StepResult sldb::runStepLockstep(std::string_view Src,
                                  const StepOracleOptions &O) {
   StepResult R;
 
-  DiagnosticEngine D0, D2;
-  auto M0 = compileToIR(Src, D0);
-  auto M2 = compileToIR(Src, D2);
-  if (!M0 || !M2) {
-    R.CompileError = D0.hasErrors() ? D0.str() : "frontend error";
+  Expected<LockstepBuilds> B = compileLockstepPair(Src, O.Opts, O.Promote);
+  if (!B) {
+    R.CompileError = B.status().message();
     return R;
   }
-  Status PS = runPipelineEx(*M2, O.Opts, PipelineConfig());
-  if (!PS.ok()) {
-    R.CompileError = PS.str();
-    return R;
-  }
-
-  // The oracle build stays pristine under an armed FaultInjector, as in
-  // the variable oracle.
-  FaultInjector::suspend();
-  CodegenOptions CGOracle;
-  CGOracle.PromoteVars = false;
-  CGOracle.Schedule = false;
-  Expected<MachineModule> MMOE = compileToMachineE(*M0, CGOracle);
-  FaultInjector::resume();
-  if (!MMOE) {
-    R.CompileError = "oracle build: " + MMOE.status().str();
-    return R;
-  }
-  CodegenOptions CGOpt;
-  CGOpt.PromoteVars = O.Promote;
-  CGOpt.Schedule = false;
-  Expected<MachineModule> MM2E = compileToMachineE(*M2, CGOpt);
-  if (!MM2E) {
-    R.CompileError = MM2E.status().str();
-    return R;
-  }
-  MachineModule &MMO = *MMOE;
-  MachineModule &MM2 = *MM2E;
+  MachineModule &MMO = B->Oracle.MM;
+  MachineModule &MM2 = B->Opt.MM;
   R.Compiled = true;
 
   FaultInjector::suspend();

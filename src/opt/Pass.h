@@ -110,6 +110,9 @@ struct OptOptions {
     O.Ssa = O.GVN = O.SparseProp = O.Inline = false;
     return O;
   }
+  /// The O2 row's pass set (eval/Levels.h): every pre-SSA pass, with no
+  /// SSA tier and no inlining.  Name pipelines by their level row; this
+  /// stays for pass-level tests and the benchmark's staged compile.
   static OptOptions all() { return OptOptions(); }
 };
 
@@ -159,15 +162,10 @@ struct PipelineStats {
   double TotalMs = 0;     ///< Filled when PipelineConfig::TimePasses.
 };
 
-/// Runs the cmcc-like pipeline over every function of \p M.
-/// Passes are ordered so that hoisting (PRE) runs before sinking (PDE),
-/// matching the interaction the paper reports (§4: hoisted assignments
-/// that were partially dead were subsequently sunk).  Convenience
-/// wrapper: a VerifyEach failure is reported on stderr and aborts (the
-/// Status-aware drivers use runPipelineEx instead).
-void runPipeline(IRModule &M, const OptOptions &Opts);
-
-/// Full-control pipeline entry point: analysis caching across passes,
+/// Runs the cmcc-like pipeline over every function of \p M.  Passes are
+/// ordered so that hoisting (PRE) runs before sinking (PDE), matching the
+/// interaction the paper reports (§4: hoisted assignments that were
+/// partially dead were subsequently sunk).  Analysis caching across passes,
 /// optional per-pass timing/verification, optional fixpoint iteration of
 /// the propagation clusters.  \p Stats may be null.  Returns a
 /// VerifyFailure error (and stops transforming) when VerifyEach is on and
@@ -178,17 +176,12 @@ Status runPipelineEx(IRModule &M, const OptOptions &Opts,
 
 /// One pass's aggregate activity over a module: how many (function, pass
 /// slot) runs reported a change.  Names repeat in pipeline order when a
-/// pass appears in several pipeline slots.
+/// pass appears in several pipeline slots.  The fuzzing harness uses it
+/// to prove the generated corpus exercises every optimization.
 struct PassFiring {
   std::string Name;
   unsigned Changed = 0; ///< Number of functions the slot transformed.
 };
-
-/// runPipeline plus per-slot change reporting.  The fuzzing harness uses
-/// this to prove the generated corpus actually exercises every
-/// optimization (no silently-dead fuzz coverage).
-Status runPipelineInstrumented(IRModule &M, const OptOptions &Opts,
-                               std::vector<PassFiring> &Firings);
 
 /// Returns the pipeline pass names in execution order (Table 1 bench).
 std::vector<std::string> pipelinePassNames(const OptOptions &Opts);

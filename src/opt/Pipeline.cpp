@@ -11,7 +11,6 @@
 #include "support/Trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -92,6 +91,9 @@ std::vector<Slot> buildPipeline(const OptOptions &O) {
 constexpr unsigned MaxClusterRounds = 4;
 
 Status verifyAfterPass(IRFunction &F, IRModule &M, const char *PassName) {
+  static StatCounter &Verified =
+      Stats::counter("pipeline.verify_each.functions");
+  Verified.add();
   std::vector<std::string> Errors;
   if (verifyFunction(F, *M.Info, Errors))
     return Status::success();
@@ -211,26 +213,6 @@ Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
               .count();
   }
   return Err;
-}
-
-void sldb::runPipeline(IRModule &M, const OptOptions &Opts) {
-  Status S = runPipelineEx(M, Opts, PipelineConfig::fromEnvironment());
-  if (!S.ok()) {
-    // The convenience wrapper has no error channel; Status-aware drivers
-    // (sldbc, the fuzz oracle) use runPipelineEx directly.
-    std::fprintf(stderr, "sldb: %s\n", S.str().c_str());
-    std::abort();
-  }
-}
-
-Status sldb::runPipelineInstrumented(IRModule &M, const OptOptions &Opts,
-                                     std::vector<PassFiring> &Firings) {
-  PipelineStats Stats;
-  Status S = runPipelineEx(M, Opts, PipelineConfig::fromEnvironment(), &Stats);
-  Firings.clear();
-  for (const PassSlotStats &Slot : Stats.Slots)
-    Firings.push_back({Slot.Name, Slot.Changed});
-  return S;
 }
 
 std::vector<std::string> sldb::pipelinePassNames(const OptOptions &Opts) {

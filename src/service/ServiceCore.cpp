@@ -6,13 +6,8 @@
 
 #include "service/ServiceCore.h"
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
-#include "eval/Levels.h"
 #include "fuzz/ProgramGen.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 #include "support/Stats.h"
 
@@ -188,51 +183,29 @@ std::string ServiceCore::doLoad(const Request &R) {
   Mod->A = std::make_unique<Arena>(1 << 16);
   Mod->A->setLimit(Limits.LoadArenaBytes);
 
-  auto overBudget = [&](const char *Phase) {
+  CompileOptions CO;
+  CO.A = Mod->A.get();
+  Expected<CompiledModule> CM =
+      compileModule(Source, Lvl ? *Lvl : levelSpec(PipelineLevel::O2), CO);
+  if (!CM) {
     LoadFails.add(1);
-    static StatCounter &Exhausted = Stats::counter("service.budget_refusals");
-    Exhausted.add(1);
-    return renderErr(R.Session, ErrorCode::ResourceExhausted,
-                     std::string("arena budget exceeded during ") + Phase +
-                         " (limit " + std::to_string(Limits.LoadArenaBytes) +
-                         " bytes)");
-  };
-
-  DiagnosticEngine Diags;
-  Mod->IR = compileToIR(Source, Diags, Mod->A.get());
-  if (!Mod->IR) {
-    LoadFails.add(1);
-    std::string Msg = Diags.str();
-    std::size_t NL = Msg.find('\n');
-    if (NL != std::string::npos)
-      Msg.resize(NL);
-    return renderErr(R.Session, ErrorCode::InvalidIR,
-                     Msg.empty() ? "compilation failed" : Msg);
+    const Status &S = CM.status();
+    if (S.code() == ErrorCode::SourceError) {
+      std::string Msg = S.message();
+      std::size_t NL = Msg.find('\n');
+      if (NL != std::string::npos)
+        Msg.resize(NL);
+      return renderErr(R.Session, ErrorCode::InvalidIR,
+                       Msg.empty() ? "compilation failed" : Msg);
+    }
+    if (S.code() == ErrorCode::ResourceExhausted) {
+      static StatCounter &Exhausted =
+          Stats::counter("service.budget_refusals");
+      Exhausted.add(1);
+    }
+    return renderErr(R.Session, S.code(), S.message());
   }
-  if (Mod->A->limitExceeded())
-    return overBudget("frontend");
-
-  Status PS = runPipelineEx(*Mod->IR, Lvl ? Lvl->Opts : OptOptions::all(),
-                            PipelineConfig());
-  if (!PS.ok()) {
-    LoadFails.add(1);
-    return renderErr(R.Session, PS.code(), PS.message());
-  }
-  if (Mod->A->limitExceeded())
-    return overBudget("optimizer");
-
-  CodegenOptions CG;
-  if (Lvl)
-    CG.PromoteVars = Lvl->Promote;
-  Expected<MachineModule> MME =
-      compileToMachineE(*Mod->IR, CG, Mod->A.get());
-  if (!MME) {
-    LoadFails.add(1);
-    return renderErr(R.Session, MME.status().code(), MME.status().message());
-  }
-  if (Mod->A->limitExceeded())
-    return overBudget("codegen");
-  Mod->MM = std::make_unique<MachineModule>(std::move(*MME));
+  Mod->Code = std::make_unique<CompiledModule>(std::move(*CM));
 
   // Per-session memory budget across loads.
   std::size_t Bytes = Mod->A->bytesAllocated();
@@ -255,8 +228,8 @@ std::string ServiceCore::doLoad(const Request &R) {
   FaultInjector::suspend();
   bool Damaged = false;
   std::string FirstFinding;
-  for (const MachineFunction &MF : Mod->MM->Funcs) {
-    auto C = std::make_unique<Classifier>(MF, *Mod->MM->Info);
+  for (const MachineFunction &MF : Mod->Code->MM.Funcs) {
+    auto C = std::make_unique<Classifier>(MF, *Mod->Code->MM.Info);
     if (!C->annotationFindings().empty() && !Damaged) {
       Damaged = true;
       FirstFinding = MF.Name + ": " + C->annotationFindings()[0].Message;
@@ -278,7 +251,7 @@ std::string ServiceCore::doLoad(const Request &R) {
     Quar.add(1);
   }
 
-  std::size_t Funcs = Mod->MM->Funcs.size();
+  std::size_t Funcs = Mod->Code->MM.Funcs.size();
   bool Quarantined = Mod->Quarantined;
   SessionBytes[R.Session] += Bytes;
   Modules[Name] = std::move(Mod);
@@ -303,13 +276,13 @@ bool ServiceCore::resolve(const Request &R, ResolvedQuery &Q,
     return false;
   }
   Q.Mod = It->second.get();
-  const ProgramInfo &Info = *Q.Mod->MM->Info;
+  const ProgramInfo &Info = *Q.Mod->Code->MM.Info;
   Q.F = Info.findFunc(R.Args[1]);
-  if (Q.F == InvalidFunc || Q.F >= Q.Mod->MM->Funcs.size()) {
+  if (Q.F == InvalidFunc || Q.F >= Q.Mod->Code->MM.Funcs.size()) {
     Err = "unknown function '" + R.Args[1] + "'";
     return false;
   }
-  Q.MF = &Q.Mod->MM->Funcs[Q.F];
+  Q.MF = &Q.Mod->Code->MM.Funcs[Q.F];
   Q.C = Q.Mod->Classifiers[Q.F].get();
   Q.Lock = Q.Mod->FuncLocks[Q.F].get();
   if (!NeedStmt)
@@ -355,7 +328,7 @@ std::string ServiceCore::doClassify(const Request &R, bool All) {
   std::string Err;
   if (!resolve(R, Q, Err))
     return renderErr(R.Session, ErrorCode::InvalidRequest, Err);
-  const ProgramInfo &Info = *Q.Mod->MM->Info;
+  const ProgramInfo &Info = *Q.Mod->Code->MM.Info;
   if (Q.Mod->Quarantined)
     Counters.QuarantineHits.fetch_add(1, std::memory_order_relaxed);
 
@@ -405,7 +378,7 @@ std::string ServiceCore::doExplain(const Request &R) {
   std::string Err;
   if (!resolve(R, Q, Err))
     return renderErr(R.Session, ErrorCode::InvalidRequest, Err);
-  const ProgramInfo &Info = *Q.Mod->MM->Info;
+  const ProgramInfo &Info = *Q.Mod->Code->MM.Info;
   VarId V = findVarAt(Info, Q.F, Q.S, R.Args[3]);
   if (V == InvalidVar)
     return renderErr(R.Session, ErrorCode::InvalidRequest,
@@ -453,7 +426,7 @@ std::string ServiceCore::doStep(
 
   // A fresh, self-contained session per request: deterministic, nothing
   // shared, fuel-bounded.  The VM only reads the module.
-  Debugger D(*Mod.MM, Limits.RequestFuel);
+  Debugger D(Mod.Code->MM, Limits.RequestFuel);
   const std::uint64_t StartUs = nowUs();
   const std::uint64_t WallUs =
       static_cast<std::uint64_t>(Limits.RequestWallMs) * 1000;
@@ -492,7 +465,7 @@ std::string ServiceCore::doStep(
           Trace += ',';
         FuncId F = D.currentFunction();
         std::optional<StmtId> St = D.currentStmt();
-        Trace += Mod.MM->Info->func(F).Name;
+        Trace += Mod.Code->MM.Info->func(F).Name;
         Trace += ':';
         Trace += St ? std::to_string(*St) : "?";
       }

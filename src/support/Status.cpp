@@ -26,6 +26,8 @@ const char *errorCodeName(ErrorCode C) {
     return "invalid-request";
   case ErrorCode::UnknownLevel:
     return "unknown-level";
+  case ErrorCode::SourceError:
+    return "source-error";
   }
   return "unknown";
 }

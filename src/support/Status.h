@@ -51,6 +51,9 @@ enum class ErrorCode : std::uint8_t {
   /// so the module registry is untouched — nothing is quarantined over a
   /// bad level name.
   UnknownLevel,
+  /// The front end rejected the source text; the message is its
+  /// diagnostics, verbatim.
+  SourceError,
 };
 
 const char *errorCodeName(ErrorCode C);

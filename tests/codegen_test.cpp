@@ -26,9 +26,19 @@ std::unique_ptr<IRModule> compile(std::string_view Src, bool Optimize) {
   DiagnosticEngine Diags;
   auto M = compileToIR(Src, Diags);
   EXPECT_TRUE(M != nullptr) << Diags.str();
-  if (M && Optimize)
-    runPipeline(*M, OptOptions::all());
+  if (M && Optimize) {
+    Status PS =
+        runPipelineEx(*M, OptOptions::all(), PipelineConfig::fromEnvironment());
+    EXPECT_TRUE(PS.ok()) << PS.str();
+  }
   return M;
+}
+
+/// The back end alone, on IR the test prepared.
+MachineModule machineOf(const IRModule &M, const CodegenOptions &CG) {
+  Expected<MachineModule> MM = compileToMachineE(M, CG);
+  EXPECT_TRUE(MM.ok()) << MM.status().str();
+  return MM ? std::move(*MM) : MachineModule();
 }
 
 /// Runs the source through the IR interpreter (oracle) and through the
@@ -39,7 +49,7 @@ void endToEnd(std::string_view Src, bool Optimize, CodegenOptions CG) {
   ExecResult Oracle = interpretIR(*M);
   ASSERT_FALSE(Oracle.Trapped) << Oracle.TrapMsg;
 
-  MachineModule MM = compileToMachine(*M, CG);
+  MachineModule MM = machineOf(*M, CG);
   {
     std::vector<std::string> Errors;
     bool OK = verifyMachineModule(MM, Errors);
@@ -186,7 +196,7 @@ TEST(VM, ManyLiveValuesForcesSpills) {
 
 TEST(VM, DivisionByZeroTraps) {
   auto M = compile("int main() { int z = 0; return 7 / z; }", false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  MachineModule MM = machineOf(*M, CodegenOptions());
   Machine VM(MM);
   EXPECT_EQ(VM.run(), StopReason::Trapped);
   EXPECT_NE(VM.trapMessage().find("division"), std::string::npos);
@@ -202,7 +212,7 @@ TEST(VM, BreakpointStopsAndResumes) {
     }
   )",
                    false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  MachineModule MM = machineOf(*M, CodegenOptions());
   const MachineFunction *Main = MM.findFunc("main");
   ASSERT_NE(Main, nullptr);
   // Break at the `s = s + i` statement (id 2: s=0 is 0, i=0 is 1, for is
@@ -240,8 +250,8 @@ TEST(VM, InstrCountLowerWithOptimization) {
   )";
   auto M0 = compile(Src, false);
   auto M2 = compile(Src, true);
-  MachineModule MM0 = compileToMachine(*M0, CodegenOptions());
-  MachineModule MM2 = compileToMachine(*M2, CodegenOptions());
+  MachineModule MM0 = machineOf(*M0, CodegenOptions());
+  MachineModule MM2 = machineOf(*M2, CodegenOptions());
   Machine V0(MM0), V2(MM2);
   ASSERT_EQ(V0.run(), StopReason::Exited);
   ASSERT_EQ(V2.run(), StopReason::Exited);
@@ -254,7 +264,7 @@ TEST(VM, NoPromotionMeansFrameStorage) {
                    false);
   CodegenOptions CG;
   CG.PromoteVars = false;
-  MachineModule MM = compileToMachine(*M, CG);
+  MachineModule MM = machineOf(*M, CG);
   const MachineFunction *Main = MM.findFunc("main");
   unsigned FrameVars = 0;
   for (const auto &[V, S] : Main->Storage)
@@ -266,7 +276,7 @@ TEST(VM, NoPromotionMeansFrameStorage) {
 TEST(VM, PromotionKeepsScalarsInRegisters) {
   auto M = compile("int main() { int x = 3; int y = x + 1; return y; }",
                    false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  MachineModule MM = machineOf(*M, CodegenOptions());
   const MachineFunction *Main = MM.findFunc("main");
   unsigned RegVars = 0;
   for (const auto &[V, S] : Main->Storage)
@@ -287,7 +297,7 @@ TEST(VM, ResidenceBitsCoverLiveRange) {
     }
   )",
                    false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  MachineModule MM = machineOf(*M, CodegenOptions());
   const MachineFunction *Main = MM.findFunc("main");
   // x must be resident somewhere (between def and last use) and
   // nonresident at the final return.
@@ -318,7 +328,7 @@ TEST(Scheduler, PreservesSemantics) {
     auto M = compile(Src, true);
     CodegenOptions CG;
     CG.Schedule = Sched;
-    MachineModule MM = compileToMachine(*M, CG);
+    MachineModule MM = machineOf(*M, CG);
     Machine VM(MM);
     ASSERT_EQ(VM.run(), StopReason::Exited);
     EXPECT_EQ(VM.outputText(), "1400\n");

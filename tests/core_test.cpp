@@ -11,6 +11,7 @@
 
 #include "codegen/ISel.h"
 #include "core/Debugger.h"
+#include "eval/Levels.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "opt/Pass.h"
@@ -23,25 +24,18 @@ using namespace sldb;
 
 namespace {
 
-std::unique_ptr<IRModule> frontend(std::string_view Src) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  return M;
-}
-
-MachineModule buildMachine(std::string_view Src, const OptOptions &Opts,
-                           bool Promote = true) {
-  auto M = frontend(Src);
-  runPipeline(*M, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  // NOTE: MachineModule borrows ProgramInfo from the IRModule; keep the
-  // IRModule alive by leaking it into a static pool (tests only).
-  static std::vector<std::unique_ptr<IRModule>> Pool;
-  Pool.push_back(std::move(M));
-  return MM;
+/// Builds \p Src with the pass set \p Opts in promotion mode \p Promote
+/// (a one-off level row).  The build stays alive until the test binary
+/// exits, so the returned machine code's Info stays valid.
+MachineModule &buildMachine(std::string_view Src, const OptOptions &Opts,
+                            bool Promote = true) {
+  static std::vector<std::unique_ptr<CompiledModule>> Pool;
+  Expected<CompiledModule> CM =
+      compileModule(Src, LevelSpec{PipelineLevel::O2, "test", Opts, Promote});
+  EXPECT_TRUE(CM.ok()) << CM.status().str();
+  Pool.push_back(std::make_unique<CompiledModule>(
+      CM ? std::move(*CM) : CompiledModule()));
+  return Pool.back()->MM;
 }
 
 VarId findVar(const MachineModule &MM, const std::string &Name,
@@ -96,7 +90,7 @@ const char *Fig2 = R"(
 } // namespace
 
 TEST(Figure2, SuspectAtJoinCurrentAfterMarker) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  MachineModule &MM = buildMachine(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -125,7 +119,7 @@ TEST(Figure2, SuspectAtJoinCurrentAfterMarker) {
 }
 
 TEST(Figure2, NoncurrentRightAfterHoistedInstance) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  MachineModule &MM = buildMachine(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -146,7 +140,7 @@ TEST(Figure2, NoncurrentRightAfterHoistedInstance) {
 }
 
 TEST(Figure2, WarningTextMentionsPrematureExecution) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  MachineModule &MM = buildMachine(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -192,7 +186,7 @@ TEST(Figure3, NoncurrentBetweenMarkerAndSunkCopy) {
   // variable is memory-resident, so dead-code endangerment is visible as
   // noncurrent/suspect rather than being masked by nonresidency (the
   // masking itself is the paper's Figure 5(b) finding).
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  MachineModule &MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -211,7 +205,7 @@ TEST(Figure3, NoncurrentBetweenMarkerAndSunkCopy) {
 }
 
 TEST(Figure3, RecoveredOrCurrentAtUses) {
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  MachineModule &MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -249,7 +243,7 @@ TEST(Figure3, SuspectAtJoin) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, pdeOnly(), /*Promote=*/false);
+  MachineModule &MM = buildMachine(Src, pdeOnly(), /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -279,7 +273,7 @@ TEST(Recovery, DeadCopyRecoveredFromSource) {
   )";
   OptOptions O = OptOptions::none();
   O.DCE = true;
-  MachineModule MM = buildMachine(Src, O);
+  MachineModule &MM = buildMachine(Src, O);
   Debugger Dbg(MM);
   FuncId Main = MM.Info->findFunc("main");
   ASSERT_TRUE(Dbg.setBreakpointAtStmt(Main, 2)); // print(a)
@@ -304,7 +298,7 @@ TEST(Recovery, ConstantRecovery) {
   )";
   OptOptions O = OptOptions::none();
   O.DCE = true;
-  MachineModule MM = buildMachine(Src, O);
+  MachineModule &MM = buildMachine(Src, O);
   Debugger Dbg(MM);
   FuncId Main = MM.Info->findFunc("main");
   ASSERT_TRUE(Dbg.setBreakpointAtStmt(Main, 1));
@@ -338,7 +332,7 @@ TEST(Recovery, SelfCopyDoesNotLaunderStaleValue) {
   OptOptions Opts = OptOptions::all();
   Opts.LoopPeel = false;
   Opts.LoopUnroll = false;
-  MachineModule MM = buildMachine(Src, Opts, /*Promote=*/false);
+  MachineModule &MM = buildMachine(Src, Opts, /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId V = findVar(MM, "v", "main");
@@ -369,7 +363,7 @@ TEST(Residence, NonresidentAfterRegisterReuse) {
     Src += "  int t" + std::to_string(I) + " = acc + " + std::to_string(I) +
            "; acc = t" + std::to_string(I) + " * 2 - acc;\n";
   Src += "  print(acc);\n  return 0;\n}\n";
-  MachineModule MM = buildMachine(Src, OptOptions::none());
+  MachineModule &MM = buildMachine(Src, OptOptions::none());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId First = findVar(MM, "first", "main");
@@ -396,7 +390,7 @@ TEST(Residence, MemoryHomedAlwaysResident) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, OptOptions::none());
+  MachineModule &MM = buildMachine(Src, OptOptions::none());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x", "main");
@@ -419,7 +413,7 @@ TEST(Residence, UninitializedDetected) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, OptOptions::none());
+  MachineModule &MM = buildMachine(Src, OptOptions::none());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId Ready = findVar(MM, "ready", "main");
@@ -444,7 +438,7 @@ TEST(Debugger, CurrentVariablesShownWithoutWarnings) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, OptOptions::all());
+  MachineModule &MM = buildMachine(Src, OptOptions::all());
   Debugger Dbg(MM);
   ASSERT_TRUE(Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 2));
   ASSERT_EQ(Dbg.run(), StopReason::Breakpoint);
@@ -469,7 +463,7 @@ TEST(Debugger, ScopeReportCoversVisibleLocals) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, OptOptions::none());
+  MachineModule &MM = buildMachine(Src, OptOptions::none());
   Debugger Dbg(MM);
   FuncId Main = MM.Info->findFunc("main");
   ASSERT_TRUE(Dbg.setBreakpointAtStmt(Main, 2));
@@ -487,7 +481,7 @@ TEST(Debugger, GlobalsAlwaysReadable) {
       return 0;
     }
   )";
-  MachineModule MM = buildMachine(Src, OptOptions::all());
+  MachineModule &MM = buildMachine(Src, OptOptions::all());
   Debugger Dbg(MM);
   ASSERT_TRUE(Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 1));
   ASSERT_EQ(Dbg.run(), StopReason::Breakpoint);
@@ -510,22 +504,18 @@ namespace {
 /// WITHOUT a warning (Current) or as recovered must match the oracle's
 /// value.
 void checkNeverMisleads(std::string_view Src, const OptOptions &Opts) {
-  auto M0 = frontend(Src);
-  auto M2 = frontend(Src);
-  ASSERT_TRUE(M0 && M2);
-  runPipeline(*M2, Opts);
-
-  CodegenOptions CGOracle;
-  CGOracle.PromoteVars = false;
-  CGOracle.Schedule = false;
-  MachineModule MMO = compileToMachine(*M0, CGOracle);
   // Scheduling can interleave the *stop order* of adjacent statements;
   // endangerment from instruction scheduling is the subject of the
   // authors' PLDI'93 paper, explicitly out of scope here (paper §1.3),
   // so the pairing harness runs unscheduled code.
-  CodegenOptions CGOpt;
-  CGOpt.Schedule = false;
-  MachineModule MM2 = compileToMachine(*M2, CGOpt);
+  CompileOptions Unscheduled;
+  Unscheduled.Schedule = false;
+  Expected<CompiledModule> O0 =
+      compileModule(Src, levelSpec(PipelineLevel::O0), Unscheduled);
+  Expected<CompiledModule> O2 = compileModule(
+      Src, LevelSpec{PipelineLevel::O2, "test", Opts, true}, Unscheduled);
+  ASSERT_TRUE(O0.ok() && O2.ok());
+  const MachineModule &MMO = O0->MM, &MM2 = O2->MM;
 
   Debugger Oracle(MMO), Opt(MM2);
   Oracle.breakEverywhere();

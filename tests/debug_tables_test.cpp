@@ -50,25 +50,16 @@ namespace {
 
 /// One compiled corpus program; the IR owns the ProgramInfo the machine
 /// module points at, so it outlives the machine code.
-struct Compiled {
-  std::unique_ptr<IRModule> IR;
-  std::optional<MachineModule> MM;
-};
+using Compiled = std::optional<CompiledModule>;
 
 Compiled compileSeed(std::uint32_t Seed, bool Alias, const LevelSpec &L) {
   GenOptions G;
   G.Alias = Alias;
-  Compiled C;
-  DiagnosticEngine Diags;
-  C.IR = compileToIR(generateProgram(Seed, G), Diags);
-  EXPECT_TRUE(C.IR != nullptr) << "seed " << Seed << ": " << Diags.str();
-  if (!C.IR)
-    return C;
-  runPipeline(*C.IR, L.Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = L.Promote;
-  C.MM.emplace(compileToMachine(*C.IR, CG));
-  return C;
+  Expected<CompiledModule> CM = compileModule(generateProgram(Seed, G), L);
+  EXPECT_TRUE(CM.ok()) << "seed " << Seed << ": " << CM.status().str();
+  if (!CM)
+    return std::nullopt;
+  return std::move(*CM);
 }
 
 const PipelineLevel CorpusLevels[] = {PipelineLevel::O2, PipelineLevel::O2Ssa,
@@ -96,11 +87,11 @@ TEST(DebugTables, ExportCorpusDigestIsStable) {
       for (PipelineLevel PL : CorpusLevels) {
         const LevelSpec &L = levelSpec(PL);
         Compiled C = compileSeed(Seed, Alias, L);
-        ASSERT_TRUE(C.MM.has_value());
+        ASSERT_TRUE(C.has_value());
         char Hex[17];
         std::snprintf(Hex, sizeof(Hex), "%016llx",
                       static_cast<unsigned long long>(
-                          fnv1a(renderDebugInfo(*C.MM))));
+                          fnv1a(renderDebugInfo(C->MM))));
         Got << Seed << " " << (Alias ? "alias" : "scalar") << " " << L.Name
             << " " << Hex << "\n";
       }
@@ -141,11 +132,11 @@ template <typename Fn> void forEachCorpusModule(std::uint32_t Count, Fn &&F) {
     for (std::uint32_t Seed = 1; Seed <= Count; ++Seed)
       for (PipelineLevel PL : CorpusLevels) {
         Compiled C = compileSeed(Seed, Alias, levelSpec(PL));
-        ASSERT_TRUE(C.MM.has_value());
+        ASSERT_TRUE(C.has_value());
         std::string Where = std::string(Alias ? "alias" : "scalar") +
                             " seed " + std::to_string(Seed) + " at " +
                             levelSpec(PL).Name;
-        F(*C.MM, Where);
+        F(C->MM, Where);
       }
 }
 
@@ -220,16 +211,16 @@ TEST(DebugTables, AvailabilitySweepMatchesClassifyUnderFaults) {
                               levelSpec(PL).Name;
           FaultInjector::arm(FP.Id, Seed);
           Compiled Comp = compileSeed(Seed, Alias, levelSpec(PL));
-          ASSERT_TRUE(Comp.MM.has_value()) << Where;
-          for (const MachineFunction &MF : Comp.MM->Funcs) {
-            Classifier C(MF, *Comp.MM->Info);
-            expectSweepMatchesClassify(MF, *Comp.MM->Info, C, Where);
+          ASSERT_TRUE(Comp.has_value()) << Where;
+          for (const MachineFunction &MF : Comp->MM.Funcs) {
+            Classifier C(MF, *Comp->MM.Info);
+            expectSweepMatchesClassify(MF, *Comp->MM.Info, C, Where);
             // Arming after construction: the transfers read the fault
             // state at query time, the block-entry solutions do not.
             FaultInjector::disarm();
-            Classifier Clean(MF, *Comp.MM->Info);
+            Classifier Clean(MF, *Comp->MM.Info);
             FaultInjector::arm(FP.Id, Seed);
-            expectSweepMatchesClassify(MF, *Comp.MM->Info, Clean,
+            expectSweepMatchesClassify(MF, *Comp->MM.Info, Clean,
                                        Where + " (armed late)");
           }
           FaultInjector::disarm();

@@ -67,7 +67,7 @@ TEST_P(BenchProgramTest, ClassificationAveragesSane) {
   // Figure 5(a) configuration: global optimizations, no register
   // allocation of user variables.
   ClassAverages A =
-      measureClassification(P, OptOptions::all(), /*Promote=*/false);
+      measureClassification(P, levelSpec(PipelineLevel::O2Frame));
   EXPECT_GT(A.Breakpoints, 0u);
   // Without promotion every initialized variable is memory-resident.
   EXPECT_EQ(A.Nonresident, 0.0) << P.Name;
@@ -75,7 +75,7 @@ TEST_P(BenchProgramTest, ClassificationAveragesSane) {
 
   // Figure 5(b): with register allocation.
   ClassAverages B =
-      measureClassification(P, OptOptions::all(), /*Promote=*/true);
+      measureClassification(P, levelSpec(PipelineLevel::O2));
   EXPECT_GT(B.Current + B.Nonresident + B.Uninitialized + B.endangered(),
             0.0);
 }
@@ -92,12 +92,12 @@ TEST(MeasureParallel, CorpusMeasurementMatchesSerial) {
   // so only scheduling differs.
   const auto &Ps = benchmarkPrograms();
   std::vector<ClassAverages> Par =
-      measureClassificationAll(Ps, OptOptions::all(), /*Promote=*/true,
+      measureClassificationAll(Ps, levelSpec(PipelineLevel::O2),
                                /*EnableRecovery=*/true, /*Jobs=*/3);
   ASSERT_EQ(Par.size(), Ps.size());
   for (std::size_t I = 0; I < Ps.size(); ++I) {
     ClassAverages Ser =
-        measureClassification(Ps[I], OptOptions::all(), true);
+        measureClassification(Ps[I], levelSpec(PipelineLevel::O2));
     EXPECT_EQ(Par[I].Breakpoints, Ser.Breakpoints) << Ps[I].Name;
     EXPECT_EQ(Par[I].Uninitialized, Ser.Uninitialized) << Ps[I].Name;
     EXPECT_EQ(Par[I].Current, Ser.Current) << Ps[I].Name;

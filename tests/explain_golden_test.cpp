@@ -72,23 +72,18 @@ void checkGolden(const std::string &Name, const std::string &Got) {
       << "' changed; if intended, regenerate with SLDB_UPDATE_GOLDENS=1";
 }
 
-std::unique_ptr<IRModule> frontend(std::string_view Src) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  return M;
-}
-
-MachineModule buildMachine(std::string_view Src, const OptOptions &Opts,
-                           bool Promote = true) {
-  auto M = frontend(Src);
-  runPipeline(*M, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  static std::vector<std::unique_ptr<IRModule>> Pool; // Keep Info alive.
-  Pool.push_back(std::move(M));
-  return MM;
+/// Builds \p Src with the pass set \p Opts in promotion mode \p Promote
+/// (a one-off level row).  The build stays alive until the test binary
+/// exits, so the returned machine code's Info stays valid.
+MachineModule &buildMachine(std::string_view Src, const OptOptions &Opts,
+                            bool Promote = true) {
+  static std::vector<std::unique_ptr<CompiledModule>> Pool;
+  Expected<CompiledModule> CM =
+      compileModule(Src, LevelSpec{PipelineLevel::O2, "test", Opts, Promote});
+  EXPECT_TRUE(CM.ok()) << CM.status().str();
+  Pool.push_back(std::make_unique<CompiledModule>(
+      CM ? std::move(*CM) : CompiledModule()));
+  return Pool.back()->MM;
 }
 
 VarId findVar(const MachineModule &MM, const std::string &Name) {
@@ -173,7 +168,7 @@ OptOptions dceOnly() {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig2SuspectAtJoin) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  MachineModule &MM = buildMachine(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -188,7 +183,7 @@ TEST(ExplainGolden, Fig2SuspectAtJoin) {
 }
 
 TEST(ExplainGolden, Fig2NoncurrentAfterHoistedInstance) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  MachineModule &MM = buildMachine(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -207,7 +202,7 @@ TEST(ExplainGolden, Fig2NoncurrentAfterHoistedInstance) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig3NoncurrentBetweenMarkerAndSunkCopy) {
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  MachineModule &MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -225,7 +220,7 @@ TEST(ExplainGolden, Fig3NoncurrentBetweenMarkerAndSunkCopy) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig4RecoveredDeadCopy) {
-  MachineModule MM = buildMachine(Fig4, dceOnly());
+  MachineModule &MM = buildMachine(Fig4, dceOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId Cv = findVar(MM, "c");
@@ -246,7 +241,7 @@ TEST(ExplainGolden, Fig4RecoveredDeadCopy) {
 
 /// Builds \p Src at a named pipeline level (eval/Levels.h), with the
 /// level's own pass selection and promotion.
-MachineModule buildAtLevel(std::string_view Src, const char *LevelName) {
+MachineModule &buildAtLevel(std::string_view Src, const char *LevelName) {
   const LevelSpec *L = findLevel(LevelName);
   EXPECT_TRUE(L != nullptr) << LevelName;
   return buildMachine(Src, L->Opts, L->Promote);
@@ -256,7 +251,7 @@ MachineModule buildAtLevel(std::string_view Src, const char *LevelName) {
 Explanation explainAtLevel(std::string_view Src, const char *LevelName,
                            StmtId Stmt, const std::string &Var,
                            const std::string &Golden) {
-  MachineModule MM = buildAtLevel(Src, LevelName);
+  MachineModule &MM = buildAtLevel(Src, LevelName);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId V = findVar(MM, Var);
@@ -322,7 +317,7 @@ TEST(ExplainGolden, SsaTierPhiMergedHoistKeyAttribution) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, DegradedFailSafe) {
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  MachineModule &MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   C.degradeAllVariables();
@@ -351,7 +346,7 @@ TEST(ExplainGolden, ExplainAgreesWithClassifyEverywhere) {
       {Fig2, OptOptions::all(), true},
   };
   for (const Case &K : Cases) {
-    MachineModule MM = buildMachine(K.Src, K.Opts, K.Promote);
+    MachineModule &MM = buildMachine(K.Src, K.Opts, K.Promote);
     for (const MachineFunction &MF : MM.Funcs) {
       Classifier C(MF, *MM.Info);
       const FuncInfo &FI = MM.Info->func(MF.Id);

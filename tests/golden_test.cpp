@@ -53,7 +53,9 @@ TEST(Golden, OptimizedIRofEvalPrograms) {
     DiagnosticEngine Diags;
     auto M = compileToIR(P.Source, Diags);
     ASSERT_TRUE(M) << P.Name << ": " << Diags.str();
-    runPipeline(*M, OptOptions::all());
+    Status PS =
+        runPipelineEx(*M, OptOptions::all(), PipelineConfig::fromEnvironment());
+    ASSERT_TRUE(PS.ok()) << P.Name << ": " << PS.str();
     std::string Got = printModule(*M);
     std::string Want = readGolden(std::string(P.Name) + ".ir");
     EXPECT_EQ(Got, Want)

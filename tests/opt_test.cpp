@@ -41,7 +41,7 @@ void differential(std::string_view Src,
   auto M0 = compile(Src);
   auto M2 = compile(Src);
   ASSERT_TRUE(M0 && M2);
-  runPipeline(*M2, Opts);
+  ASSERT_TRUE(runPipelineEx(*M2, Opts, PipelineConfig::fromEnvironment()).ok());
   expectVerifies(*M2);
   ExecResult R0 = interpretIR(*M0);
   ExecResult R2 = interpretIR(*M2);
@@ -503,7 +503,9 @@ TEST(IVOpt, FullPipelineEliminatesIV) {
       return 0;
     }
   )");
-  runPipeline(*M, OptOptions::all());
+  ASSERT_TRUE(
+      runPipelineEx(*M, OptOptions::all(), PipelineConfig::fromEnvironment())
+          .ok());
   expectVerifies(*M);
   ExecResult R = interpretIR(*M);
   EXPECT_EQ(R.outputText(), "112\n");
@@ -594,7 +596,9 @@ TEST(BranchOptT, FoldsConstantBranchAndRemovesDeadCode) {
       return x;
     }
   )");
-  runPipeline(*M, OptOptions::all());
+  ASSERT_TRUE(
+      runPipelineEx(*M, OptOptions::all(), PipelineConfig::fromEnvironment())
+          .ok());
   expectVerifies(*M);
   ExecResult R = interpretIR(*M);
   EXPECT_EQ(R.ExitValue, 10);

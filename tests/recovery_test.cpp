@@ -14,6 +14,7 @@
 
 #include "codegen/ISel.h"
 #include "core/Debugger.h"
+#include "eval/Levels.h"
 #include "fuzz/DiffCheck.h"
 #include "fuzz/Oracle.h"
 #include "ir/IRGen.h"
@@ -118,15 +119,10 @@ TEST(Recovery, ConstantRecoveryAfterPropagation) {
   )";
   // Constant propagation folds y = 7, x = 5 dies, and the marker keeps
   // the immediate.  Direct classifier check at the print stop (s2):
-  auto M = [&] {
-    DiagnosticEngine Diags;
-    auto Mod = compileToIR(Src, Diags);
-    EXPECT_TRUE(Mod != nullptr) << Diags.str();
-    return Mod;
-  }();
-  runPipeline(*M, LockstepOptions::lockstepOpts());
-  CodegenOptions CG;
-  MachineModule MM = compileToMachine(*M, CG);
+  Expected<CompiledModule> CM =
+      compileModule(Src, levelSpec(PipelineLevel::O2nl));
+  ASSERT_TRUE(CM.ok()) << CM.status().str();
+  const MachineModule &MM = CM->MM;
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
 

@@ -15,8 +15,11 @@
 //  * the degraded path is never *less* conservative than the fault-free
 //    path for the same (breakpoint, variable) query;
 //  * the sldb-fuzz CLI refuses flags the chosen oracle would ignore
-//    (exit 2 with a message), and a stepping reproducer's printed
-//    command re-judges it with the stepping oracle.
+//    (exit 2 with a message), a stepping reproducer's printed command
+//    re-judges it with the stepping oracle, and an injected-fault
+//    reproducer re-judges under its fault;
+//  * sldbc's -O0/-O2/--no-promote select rows of the level table, and
+//    SLDB_VERIFY_EACH verifies every build.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +69,10 @@ int runSldbc(const std::string &File, const std::string &ExtraArgs) {
   return std::system(Cmd.c_str());
 }
 
-/// Runs sldb-fuzz with \p Args, capturing stdout and stderr into \p Out.
+/// Runs \p Tool with \p Args, capturing stdout and stderr into \p Out.
 /// Returns the exit status, or -1 when the process did not exit.
-int runFuzz(const std::string &Args, std::string &Out) {
-  std::string Cmd = std::string("'") + SLDB_FUZZ_PATH + "' " + Args + " 2>&1";
+int runTool(const char *Tool, const std::string &Args, std::string &Out) {
+  std::string Cmd = std::string("'") + Tool + "' " + Args + " 2>&1";
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
     return -1;
@@ -78,6 +81,14 @@ int runFuzz(const std::string &Args, std::string &Out) {
     Out += Buf;
   int St = pclose(P);
   return WIFEXITED(St) ? WEXITSTATUS(St) : -1;
+}
+
+int runFuzz(const std::string &Args, std::string &Out) {
+  return runTool(SLDB_FUZZ_PATH, Args, Out);
+}
+
+int captureSldbc(const std::string &Args, std::string &Out) {
+  return runTool(SLDB_SLDBC_PATH, Args, Out);
 }
 
 /// Compiles \p Src at -O2 with register promotion, the configuration
@@ -421,4 +432,69 @@ TEST(Robustness, StepReproducerReJudgesWithTheStepOracle) {
   EXPECT_EQ(runFuzz(Args, Out), 0) << Out;
   EXPECT_EQ(Out, "step, promote-vars off: 0 violation(s)\n");
   std::filesystem::remove(Path);
+}
+
+TEST(Robustness, InjectedFaultReproducerReJudgesUnderItsFault) {
+  const std::string Path =
+      (std::filesystem::temp_directory_path() / "sldb-inject-repro.minic")
+          .string();
+  {
+    std::ofstream Out(Path);
+    Out << "// sldb-fuzz reproducer\n// seed: 7\n// promote-vars: on\n"
+           "// injected-fault: drop-dead-marker\n//\n"
+           "// Reproduce: sldb-fuzz --repro <this file>\n"
+        << MarkerProgram;
+  }
+  std::string Out;
+  EXPECT_EQ(runFuzz("--repro '" + Path + "'", Out), 0) << Out;
+  EXPECT_EQ(Out, "diff under injected fault drop-dead-marker (seed 7), "
+                 "promote-vars on: degraded\n");
+
+  std::string Unknown;
+  {
+    std::ofstream Bad(Path);
+    Bad << "// seed: 7\n// injected-fault: no-such-fault\n" << MarkerProgram;
+  }
+  EXPECT_EQ(runFuzz("--repro '" + Path + "'", Unknown), 2) << Unknown;
+  std::filesystem::remove(Path);
+}
+
+//===----------------------------------------------------------------------===//
+// sldbc: flags name level rows; every build honours SLDB_VERIFY_EACH
+//===----------------------------------------------------------------------===//
+
+TEST(Robustness, SldbcOptimizationFlagsAreLevelRows) {
+  const std::string In = std::string(" '") + SLDB_INPUT_DIR + "/recovery.mc'";
+  const std::pair<const char *, const char *> Same[] = {
+      {"-O2", "--level=O2"},
+      {"", "--level=O2"},
+      {"-O2 --no-promote", "--level=O2-frame"},
+      {"-O0", "--level=O0"},
+      {"-O0 --no-promote", "--level=O0"},
+  };
+  for (const auto &[Flags, Level] : Same) {
+    std::string A, B;
+    ASSERT_EQ(captureSldbc(std::string("--emit=asm ") + Flags + In, A), 0) << A;
+    ASSERT_EQ(captureSldbc(std::string("--emit=asm ") + Level + In, B), 0) << B;
+    EXPECT_EQ(A, B) << "'" << Flags << "' must build the " << Level
+                    << " row";
+  }
+  std::string Out;
+  EXPECT_EQ(captureSldbc("--no-promote --level=O2nl" + In, Out), 2) << Out;
+  EXPECT_NE(Out.find("--no-promote"), std::string::npos) << Out;
+}
+
+TEST(Robustness, VerifyEachReachesTheDefaultBuild) {
+  std::string Out;
+  ASSERT_EQ(runTool("env",
+                    std::string("SLDB_VERIFY_EACH=1 '") + SLDB_SLDBC_PATH +
+                        "' --stats '" + SLDB_INPUT_DIR + "/recovery.mc'",
+                    Out),
+            7)
+      << Out;
+  const std::string Key = "pipeline.verify_each.functions";
+  std::size_t At = Out.find(Key);
+  ASSERT_NE(At, std::string::npos) << Out;
+  EXPECT_GT(std::strtoull(Out.c_str() + At + Key.size(), nullptr, 10), 0u)
+      << Out;
 }

@@ -16,6 +16,7 @@
 
 #include "codegen/ISel.h"
 #include "core/Debugger.h"
+#include "eval/Levels.h"
 #include "fuzz/QualityCampaign.h"
 #include "ir/IRGen.h"
 #include "opt/Pass.h"
@@ -71,18 +72,14 @@ const char *Fig4 = R"(
   }
 )";
 
-MachineModule buildO0(std::string_view Src,
-                      std::vector<std::unique_ptr<IRModule>> &Pool) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  runPipeline(*M, OptOptions::none());
-  CodegenOptions CG;
-  CG.PromoteVars = false;
-  CG.Schedule = false;
-  MachineModule MM = compileToMachine(*M, CG);
-  Pool.push_back(std::move(M)); // Keep MM.Info alive.
-  return MM;
+/// The O0 row, unscheduled: every statement keeps its own code.
+CompiledModule buildO0(std::string_view Src) {
+  CompileOptions Unscheduled;
+  Unscheduled.Schedule = false;
+  Expected<CompiledModule> CM =
+      compileModule(Src, levelSpec(PipelineLevel::O0), Unscheduled);
+  EXPECT_TRUE(CM.ok()) << CM.status().str();
+  return CM ? std::move(*CM) : CompiledModule();
 }
 
 //===----------------------------------------------------------------------===//
@@ -98,8 +95,8 @@ TEST(StepStmt, VisitsStatementsInSourceOrderAtO0) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  CompiledModule Build = buildO0(Src);
+  MachineModule &MM = Build.MM;
   Debugger Dbg(MM);
 
   // startPaused stops before executing anything, at the first statement.
@@ -132,8 +129,8 @@ TEST(StepStmt, LoopBodyVisitedOncePerIteration) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  CompiledModule Build = buildO0(Src);
+  MachineModule &MM = Build.MM;
   Debugger Dbg(MM);
   ASSERT_EQ(Dbg.startPaused(), StopReason::Breakpoint);
 
@@ -173,8 +170,8 @@ TEST(StepStmt, FollowsCallsIntoHelpers) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  CompiledModule Build = buildO0(Src);
+  MachineModule &MM = Build.MM;
   Debugger Dbg(MM);
   ASSERT_EQ(Dbg.startPaused(), StopReason::Breakpoint);
   FuncId Main = Dbg.currentFunction();

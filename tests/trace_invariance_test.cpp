@@ -16,6 +16,7 @@
 
 #include "codegen/ISel.h"
 #include "core/DebugInfo.h"
+#include "eval/Levels.h"
 #include "fuzz/Campaign.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
@@ -120,11 +121,10 @@ TEST(TraceInvariance, PerQueryVerdictsIdenticalWithTracingOn) {
     }
   )";
   auto Verdicts = [&]() {
-    DiagnosticEngine Diags;
-    auto M = compileToIR(Src, Diags);
-    EXPECT_TRUE(M != nullptr) << Diags.str();
-    runPipeline(*M, OptOptions::all());
-    MachineModule MM = compileToMachine(*M, CodegenOptions());
+    Expected<CompiledModule> CM =
+        compileModule(Src, levelSpec(PipelineLevel::O2));
+    EXPECT_TRUE(CM.ok()) << CM.status().str();
+    const MachineModule &MM = CM->MM;
     std::ostringstream D;
     for (const MachineFunction &MF : MM.Funcs) {
       Classifier C(MF, *MM.Info);

@@ -6,6 +6,7 @@
 
 #include "codegen/ISel.h"
 #include "codegen/MachineVerifier.h"
+#include "eval/Levels.h"
 #include "ir/IRGen.h"
 #include "opt/Pass.h"
 #include "vm/Machine.h"
@@ -16,19 +17,18 @@ using namespace sldb;
 
 namespace {
 
-MachineModule build(std::string_view Src, bool Optimize = true,
-                    bool Promote = true) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  if (Optimize)
-    runPipeline(*M, OptOptions::all());
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  static std::vector<std::unique_ptr<IRModule>> Pool;
-  Pool.push_back(std::move(M));
-  return MM;
+/// Builds \p Src at O2 (or O0 when not \p Optimize) in promotion mode
+/// \p Promote; the build lives until the test binary exits.
+MachineModule &build(std::string_view Src, bool Optimize = true,
+                     bool Promote = true) {
+  static std::vector<std::unique_ptr<CompiledModule>> Pool;
+  OptOptions Opts = Optimize ? OptOptions::all() : OptOptions::none();
+  Expected<CompiledModule> CM =
+      compileModule(Src, LevelSpec{PipelineLevel::O2, "test", Opts, Promote});
+  EXPECT_TRUE(CM.ok()) << CM.status().str();
+  Pool.push_back(std::make_unique<CompiledModule>(
+      CM ? std::move(*CM) : CompiledModule()));
+  return Pool.back()->MM;
 }
 
 } // namespace
@@ -45,7 +45,7 @@ TEST(MachineVerifier, CleanOnAllConfigs) {
   )";
   for (bool Opt : {false, true})
     for (bool Promote : {false, true}) {
-      MachineModule MM = build(Src, Opt, Promote);
+      MachineModule &MM = build(Src, Opt, Promote);
       std::vector<std::string> Errors;
       bool OK = verifyMachineModule(MM, Errors);
       std::string Joined;
@@ -56,7 +56,7 @@ TEST(MachineVerifier, CleanOnAllConfigs) {
 }
 
 TEST(VMExec, StepExecutesExactlyOneInstruction) {
-  MachineModule MM = build("int main() { int x = 1; return x + 2; }",
+  MachineModule &MM = build("int main() { int x = 1; return x + 2; }",
                            /*Optimize=*/false);
   Machine VM(MM);
   VM.run(); // Runs to completion first...
@@ -70,7 +70,7 @@ TEST(VMExec, StepExecutesExactlyOneInstruction) {
 }
 
 TEST(VMExec, BreakpointAtEntryFires) {
-  MachineModule MM = build("int main() { return 7; }", false);
+  MachineModule &MM = build("int main() { return 7; }", false);
   Machine VM(MM);
   VM.setBreakpoint({0, 0});
   EXPECT_EQ(VM.run(), StopReason::Breakpoint);
@@ -80,7 +80,7 @@ TEST(VMExec, BreakpointAtEntryFires) {
 }
 
 TEST(VMExec, RecursionMaintainsFrames) {
-  MachineModule MM = build(R"(
+  MachineModule &MM = build(R"(
     int fact(int n) {
       if (n <= 1) return 1;
       return n * fact(n - 1);
@@ -107,7 +107,7 @@ TEST(VMExec, RecursionMaintainsFrames) {
 
 TEST(VMExec, CalleeSavesEverythingExceptReturnValue) {
   // The caller's locals must survive a call that heavily uses registers.
-  MachineModule MM = build(R"(
+  MachineModule &MM = build(R"(
     int churn(int n) {
       int a = n; int b = a + 1; int c = b + 1; int d = c + 1;
       int e = d + 1; int f = e + 1; int g = f + 1; int h = g + 1;
@@ -137,7 +137,7 @@ TEST(VMExec, MarkersAreFreeAtRuntime) {
       return 0;
     }
   )";
-  MachineModule MM = build(Src, /*Optimize=*/true);
+  MachineModule &MM = build(Src, /*Optimize=*/true);
   unsigned Markers = 0;
   for (const MachineBlock &B : MM.Funcs[0].Blocks)
     for (const MInstr &I : B.Insts)
@@ -154,7 +154,7 @@ TEST(VMExec, MarkersAreFreeAtRuntime) {
 }
 
 TEST(VMExec, MemoryInspection) {
-  MachineModule MM = build(R"(
+  MachineModule &MM = build(R"(
     int table[4];
     int main() {
       table[0] = 11; table[1] = 22; table[2] = 33; table[3] = 44;
@@ -170,7 +170,7 @@ TEST(VMExec, MemoryInspection) {
 }
 
 TEST(VMExec, TrapOnBadPointer) {
-  MachineModule MM2 = build(R"(
+  MachineModule &MM2 = build(R"(
     int main() {
       int x = 5;
       int* p = &x;
@@ -184,7 +184,7 @@ TEST(VMExec, TrapOnBadPointer) {
 }
 
 TEST(VMExec, RerunIsDeterministic) {
-  MachineModule MM = build(R"(
+  MachineModule &MM = build(R"(
     int main() {
       int s = 0;
       for (int i = 0; i < 10; i = i + 1) s = s + i * i;

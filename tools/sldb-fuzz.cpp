@@ -75,7 +75,8 @@ void usage() {
       "                  pointers, address-taken locals, indirect stores)\n"
       "  --dump-seed N   print the program for seed N and exit\n"
       "  --repro FILE    re-judge a program/reproducer file with the diff\n"
-      "                  or step oracle and exit\n"
+      "                  or step oracle and exit; a reproducer with an\n"
+      "                  injected-fault header re-judges under that fault\n"
       "  --oracle=K      which oracle drives the campaign (default diff):\n"
       "                  diff       variable-value lockstep soundness\n"
       "                  step       stepping/line-table oracle (phantom or\n"
@@ -208,6 +209,48 @@ std::string ignoredFlags(const Options &O) {
   return "";
 }
 
+/// The value of a reproducer's `// Key: value` header line, or "".
+std::string header(const std::string &Src, const std::string &Key) {
+  const std::string Prefix = "// " + Key + ": ";
+  std::istringstream In(Src);
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind(Prefix, 0) == 0)
+      return Line.substr(Prefix.size());
+  return "";
+}
+
+/// Re-judges an inject campaign's record under the fault it names, armed
+/// with the record's seed, as the campaign judged it.
+int reproInjected(const Options &O, const std::string &Src,
+                  const std::string &Fault, const LevelSpec *Spec) {
+  const FaultPoint *P = FaultInjector::findPoint(Fault);
+  unsigned long Seed = 0;
+  if (!P || !parseUnsigned(header(Src, "seed").c_str(), Seed)) {
+    std::fprintf(stderr,
+                 "sldb-fuzz: injected-fault reproducer needs a known fault "
+                 "and a '// seed: N' header (fault '%s')\n",
+                 Fault.c_str());
+    return 2;
+  }
+  if (O.Oracle != "diff") {
+    std::fprintf(stderr, "sldb-fuzz: an injected-fault reproducer "
+                         "re-judges with the diff oracle\n");
+    return 2;
+  }
+  const bool Promote = Spec ? Spec->Promote : O.Promote;
+  std::string Unsound;
+  const char *Outcome =
+      rejudgeInjected(Src, Promote, Spec ? &Spec->Opts : nullptr, P->Id,
+                      static_cast<std::uint32_t>(Seed), Unsound);
+  std::printf("diff under injected fault %s (seed %lu), promote-vars %s: "
+              "%s\n",
+              P->Name, Seed, Promote ? "on" : "off", Outcome);
+  std::istringstream Lines(Unsound);
+  for (std::string Line; std::getline(Lines, Line);)
+    std::printf("  %s\n", Line.c_str());
+  return Unsound.empty() ? 0 : 1;
+}
+
 int runRepro(const Options &O) {
   std::ifstream In(O.ReproPath);
   if (!In) {
@@ -227,6 +270,9 @@ int runRepro(const Options &O) {
     std::fprintf(stderr, "sldb-fuzz: %s\n", Refusal.ConfigError.c_str());
     return 2;
   }
+  if (std::string Fault = header(Src, "injected-fault"); !Fault.empty())
+    return reproInjected(O, Src, Fault, Spec);
+
   // Each oracle re-judges with the judge its campaign used.
   using JudgeFn = std::vector<Violation> (*)(const std::string &, bool,
                                              const OptOptions *);

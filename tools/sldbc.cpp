@@ -11,15 +11,18 @@
 //   sldbc --emit=ir-opt prog.mc       dump IR after optimization
 //   sldbc --emit=asm prog.mc          dump annotated R3K machine code
 //   sldbc --emit=stmts prog.mc        dump the statement (breakpoint) map
-//   sldbc -O0 prog.mc                 disable the optimizer
+//   sldbc -O0 prog.mc                 build the O0 level (no optimizer,
+//                                     variables in frame slots)
 //   sldbc --level=pre prog.mc         compile at one named pipeline level
 //                                     (eval/Levels.h table: O0, constprop,
-//                                     ..., O2nl, O2-frame, O2)
+//                                     ..., O2nl, O2-frame, O2); -O2 is
+//                                     --level=O2, the default
 //   sldbc --sweep-levels prog.mc      classify every (breakpoint, var)
 //                                     point at every pipeline level and
 //                                     print the cross-level quality table
 //                                     with availability regressions
-//   sldbc --no-promote prog.mc        keep variables in memory (Fig 5a)
+//   sldbc --no-promote prog.mc        keep variables in memory (Fig 5a):
+//                                     -O2 --no-promote is --level=O2-frame
 //   sldbc --batch DIR                 compile every .mc file under DIR in
 //                                     one process, reusing one arena
 //                                     (reset per module) across the corpus
@@ -58,11 +61,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "codegen/MachineIR.h"
 #include "core/DebugInfo.h"
 #include "core/Debugger.h"
 #include "eval/CrossLevel.h"
+#include "eval/Levels.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "opt/Pass.h"
@@ -86,10 +89,11 @@ struct Options {
   std::string InputFile;
   std::string BatchDir; ///< --batch: compile a whole corpus directory.
   std::string Emit = "run"; // run | ir | ir-opt | asm | stmts | debug.
-  bool Optimize = true;
-  bool Promote = true;
+  /// The level row to build: -O0, -O2 (the default) or --level=NAME.
+  const LevelSpec *Level = &levelSpec(PipelineLevel::O2);
+  bool NamedLevel = false; ///< Level came from --level=NAME.
+  bool NoPromote = false;  ///< -O2 --no-promote builds O2-frame.
   bool Schedule = true;
-  const LevelSpec *Level = nullptr; ///< --level=NAME overrides the above.
   bool SweepLevels = false;
   bool TimePasses = false;
   bool PassStats = false;
@@ -124,11 +128,12 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::string A = Argv[I];
     if (A.rfind("--emit=", 0) == 0) {
       Opts.Emit = A.substr(7);
-    } else if (A == "-O0") {
-      Opts.Optimize = false;
-    } else if (A == "-O2") {
-      Opts.Optimize = true;
+    } else if (A == "-O0" || A == "-O2") {
+      Opts.Level =
+          &levelSpec(A == "-O0" ? PipelineLevel::O0 : PipelineLevel::O2);
+      Opts.NamedLevel = false;
     } else if (A.rfind("--level=", 0) == 0) {
+      Opts.NamedLevel = true;
       Opts.Level = findLevel(A.substr(8));
       if (!Opts.Level) {
         std::fprintf(stderr, "unknown level '%s'; known levels:",
@@ -147,7 +152,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       }
       Opts.BatchDir = Argv[I];
     } else if (A == "--no-promote") {
-      Opts.Promote = false;
+      Opts.NoPromote = true;
     } else if (A == "--no-schedule") {
       Opts.Schedule = false;
     } else if (A == "--time-passes") {
@@ -219,6 +224,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     usage();
     return false;
   }
+  if (Opts.NoPromote && Opts.NamedLevel) {
+    std::fprintf(stderr, "--no-promote does not combine with --level=%s, "
+                         "which fixes its own promotion; name a frame "
+                         "level instead (e.g. --level=O2-frame)\n",
+                 Opts.Level->Name);
+    return false;
+  }
+  if (Opts.NoPromote && Opts.Level->Level == PipelineLevel::O2)
+    Opts.Level = &levelSpec(PipelineLevel::O2Frame);
   return true;
 }
 
@@ -422,6 +436,41 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
   }
 }
 
+/// --time-passes / --pass-stats: the pipeline's per-slot activity and
+/// analysis cache effectiveness, on stderr.
+void printPassStats(const PipelineStats &Stats, const Options &Opts) {
+  std::fprintf(stderr, "%-45s %6s %8s", "pass", "runs", "changed");
+  if (Opts.TimePasses)
+    std::fprintf(stderr, " %9s", "wall-ms");
+  std::fprintf(stderr, "\n");
+  for (const PassSlotStats &S : Stats.Slots) {
+    std::fprintf(stderr, "%-45s %6u %8u", S.Name.c_str(), S.Runs,
+                 S.Changed);
+    if (Opts.TimePasses)
+      std::fprintf(stderr, " %9.3f", S.WallMs);
+    std::fprintf(stderr, "\n");
+  }
+  if (Opts.TimePasses)
+    std::fprintf(stderr, "%-45s %6s %8s %9.3f\n", "total", "", "",
+                 Stats.TotalMs);
+  if (Opts.PassStats) {
+    std::fprintf(stderr, "analysis cache:\n");
+    for (unsigned ID = 0; ID < NumAnalysisIDs; ++ID) {
+      std::uint64_t H = Stats.Analyses.Hits[ID];
+      std::uint64_t M = Stats.Analyses.Misses[ID];
+      if (H + M == 0)
+        continue;
+      std::fprintf(stderr,
+                   "  %-14s %8llu hits %8llu misses (%.1f%%)\n",
+                   analysisName(static_cast<AnalysisID>(ID)),
+                   static_cast<unsigned long long>(H),
+                   static_cast<unsigned long long>(M),
+                   100.0 * static_cast<double>(H) /
+                       static_cast<double>(H + M));
+    }
+  }
+}
+
 /// Flushes the observability outputs on every exit path past argument
 /// parsing: the Stats report to stderr, the collected trace to
 /// --trace-json.  Returns the final exit status.
@@ -466,10 +515,6 @@ int runBatch(const Options &Opts) {
     return 2;
   }
 
-  const OptOptions PassSet =
-      Opts.Level ? Opts.Level->Opts : OptOptions::all();
-  const bool Promote = Opts.Level ? Opts.Level->Promote : Opts.Promote;
-
   Arena BatchArena(1 << 20);
   BatchArena.setLimit(Opts.ArenaLimit);
   unsigned Ok = 0, Failed = 0, Skipped = 0;
@@ -497,39 +542,28 @@ int runBatch(const Options &Opts) {
       continue;
     }
     {
-      DiagnosticEngine Diags;
-      auto Module = compileToIR(Buf.str(), Diags, &BatchArena);
+      CompileOptions CO;
+      CO.Schedule = Opts.Schedule;
+      CO.A = &BatchArena;
+      Expected<CompiledModule> CM = compileModule(Buf.str(), *Opts.Level, CO);
       std::string Err;
       std::uint32_t Instrs = 0;
-      if (!Module) {
-        Err = Diags.str();
+      if (CM) {
+        for (const MachineFunction &F : CM->MM.Funcs)
+          Instrs += F.numInstrs();
+      } else if (CM.status().code() == ErrorCode::SourceError) {
+        Err = CM.status().message();
         if (!Err.empty() && Err.back() == '\n')
           Err.pop_back();
-      } else {
-        if (Opts.Optimize || Opts.Level) {
-          Status PS = runPipelineEx(*Module, PassSet, PipelineConfig());
-          if (!PS.ok())
-            Err = PS.str();
-        }
-        if (Err.empty()) {
-          CodegenOptions CG;
-          CG.PromoteVars = Promote;
-          CG.Schedule = Opts.Schedule;
-          Expected<MachineModule> MME =
-              compileToMachineE(*Module, CG, &BatchArena);
-          if (!MME)
-            Err = MME.status().str();
-          else
-            for (const MachineFunction &F : MME->Funcs)
-              Instrs += F.numInstrs();
-        }
-      }
-      // The arena's soft budget is sticky until reset: any allocation
-      // past --arena-limit during this module fails it here, at the
-      // module boundary, without poisoning its neighbours.
-      if (Err.empty() && BatchArena.limitExceeded())
+      } else if (CM.status().code() == ErrorCode::ResourceExhausted) {
+        // The arena's soft budget is sticky until reset: any allocation
+        // past --arena-limit during this module fails it at a phase
+        // boundary, without poisoning its neighbours.
         Err = "resource-exhausted: arena budget (" +
               std::to_string(Opts.ArenaLimit) + " bytes) exceeded";
+      } else {
+        Err = CM.status().str();
+      }
       if (Err.empty()) {
         std::printf("%s: ok (%u machine instrs)\n", Path.c_str(), Instrs);
         ++Ok;
@@ -537,7 +571,7 @@ int runBatch(const Options &Opts) {
         std::printf("%s: error: %s\n", Path.c_str(), Err.c_str());
         ++Failed;
       }
-      // Module (and MME's buffers) die here; the arena memory survives...
+      // The module dies here; the arena memory survives...
     }
     BatchArena.reset(); // ...and is recycled for the next program.
   }
@@ -591,90 +625,40 @@ int main(int Argc, char **Argv) {
     return finish(0, Opts);
   }
 
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    return finish(1, Opts);
-  }
-
   if (Opts.Emit == "ir") {
+    DiagnosticEngine Diags;
+    auto Module = compileToIR(Source, Diags);
+    if (!Module) {
+      std::fprintf(stderr, "%s", Diags.str().c_str());
+      return finish(1, Opts);
+    }
     std::printf("%s", printModule(*Module).c_str());
     return finish(0, Opts);
   }
 
-  // A named level pins both the pass set and the promotion mode.
-  const OptOptions PassSet =
-      Opts.Level ? Opts.Level->Opts : OptOptions::all();
-  if (Opts.Level)
-    Opts.Promote = Opts.Level->Promote;
-
-  if (Opts.Optimize || Opts.Level) {
-    if (Opts.TimePasses || Opts.PassStats || Opts.VerifyEach) {
-      PipelineConfig Config = PipelineConfig::fromEnvironment();
-      Config.TimePasses |= Opts.TimePasses;
-      Config.VerifyEach |= Opts.VerifyEach;
-      PipelineStats Stats;
-      Status PS = runPipelineEx(*Module, PassSet, Config, &Stats);
-      if (!PS.ok()) {
-        std::fprintf(stderr, "error: %s\n", PS.str().c_str());
-        return finish(1, Opts);
-      }
-      if (Opts.TimePasses || Opts.PassStats) {
-        std::fprintf(stderr, "%-45s %6s %8s", "pass", "runs", "changed");
-        if (Opts.TimePasses)
-          std::fprintf(stderr, " %9s", "wall-ms");
-        std::fprintf(stderr, "\n");
-        for (const PassSlotStats &S : Stats.Slots) {
-          std::fprintf(stderr, "%-45s %6u %8u", S.Name.c_str(), S.Runs,
-                       S.Changed);
-          if (Opts.TimePasses)
-            std::fprintf(stderr, " %9.3f", S.WallMs);
-          std::fprintf(stderr, "\n");
-        }
-        if (Opts.TimePasses)
-          std::fprintf(stderr, "%-45s %6s %8s %9.3f\n", "total", "", "",
-                       Stats.TotalMs);
-      }
-      if (Opts.PassStats) {
-        std::fprintf(stderr, "analysis cache:\n");
-        for (unsigned ID = 0; ID < NumAnalysisIDs; ++ID) {
-          std::uint64_t H = Stats.Analyses.Hits[ID];
-          std::uint64_t M = Stats.Analyses.Misses[ID];
-          if (H + M == 0)
-            continue;
-          std::fprintf(stderr,
-                       "  %-14s %8llu hits %8llu misses (%.1f%%)\n",
-                       analysisName(static_cast<AnalysisID>(ID)),
-                       static_cast<unsigned long long>(H),
-                       static_cast<unsigned long long>(M),
-                       100.0 * static_cast<double>(H) /
-                           static_cast<double>(H + M));
-        }
-      }
-    } else {
-      Status PS = runPipelineEx(*Module, PassSet, PipelineConfig());
-      if (!PS.ok()) {
-        std::fprintf(stderr, "error: %s\n", PS.str().c_str());
-        return finish(1, Opts);
-      }
-    }
+  CompileOptions CO;
+  CO.Schedule = Opts.Schedule;
+  CO.Config.TimePasses |= Opts.TimePasses;
+  CO.Config.VerifyEach |= Opts.VerifyEach;
+  PipelineStats PassStats;
+  CO.Stats = &PassStats;
+  Expected<CompiledModule> CM = compileModule(Source, *Opts.Level, CO);
+  if (!CM) {
+    const Status &S = CM.status();
+    if (S.code() == ErrorCode::SourceError)
+      std::fprintf(stderr, "%s", S.message().c_str());
+    else
+      std::fprintf(stderr, "error: %s\n", S.str().c_str());
+    return finish(1, Opts);
   }
+  if (Opts.TimePasses || Opts.PassStats)
+    printPassStats(PassStats, Opts);
 
   if (Opts.Emit == "ir-opt") {
-    std::printf("%s", printModule(*Module).c_str());
+    std::printf("%s", printModule(*CM->IR).c_str());
     return finish(0, Opts);
   }
-
-  CodegenOptions CG;
-  CG.PromoteVars = Opts.Promote;
-  CG.Schedule = Opts.Schedule;
-  Expected<MachineModule> MME = compileToMachineE(*Module, CG);
-  if (!MME) {
-    std::fprintf(stderr, "error: %s\n", MME.status().str().c_str());
-    return finish(1, Opts);
-  }
-  MachineModule &MM = *MME;
+  MachineModule &MM = CM->MM;
 
   if (!Opts.DebugInfoFile.empty()) {
     if (Opts.DebugInfoFile == "-") {
