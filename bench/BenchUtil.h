@@ -41,11 +41,8 @@ inline std::unique_ptr<IRModule> compile(std::string_view Src) {
 
 /// Builds \p Src at \p Level; a benchmark source that does not build is
 /// a library bug.
-inline CompiledModule build(std::string_view Src, const LevelSpec &Level,
-                            bool Schedule = true) {
-  CompileOptions CO;
-  CO.Schedule = Schedule;
-  Expected<CompiledModule> CM = compileModule(Src, Level, CO);
+inline CompiledModule build(std::string_view Src, const LevelSpec &Level) {
+  Expected<CompiledModule> CM = compileModule(Src, Level);
   if (!CM) {
     std::fprintf(stderr, "benchmark source failed to build at %s: %s\n",
                  Level.Name, CM.status().str().c_str());

@@ -7,8 +7,11 @@
 /// \file
 /// Local (basic-block) list scheduling for the R3K pipeline model
 /// (paper Table 1: "Instruction scheduling").  Annotations move with the
-/// instructions they decorate; debug markers are scheduling barriers so
-/// the gen/kill positions of the debugger's analyses stay exact.
+/// instructions they decorate.  Debug markers, branches, calls and
+/// statement starts are scheduling barriers: instructions are reordered
+/// only within one statement, so the gen/kill positions of the
+/// debugger's analyses stay exact and a statement's breakpoint never
+/// precedes an earlier statement's code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +25,6 @@ namespace sldb {
 /// Schedules every block of \p MF in place (virtual-register code;
 /// run before register allocation).
 void scheduleFunction(MachineFunction &MF);
-
-/// Latency of one instruction in the R3K pipeline model.
-unsigned instrLatency(MOp Op);
 
 } // namespace sldb
 

@@ -65,10 +65,8 @@ ProgramSweep sldb::sweepProgram(std::string_view Name,
   // The variable/function name tables are identical at every level (the
   // frontend produces them); keep the first build's for rendering.
   std::unique_ptr<IRModule> Names;
-  CompileOptions Unscheduled; // Match the lockstep oracle's builds.
-  Unscheduled.Schedule = false;
   for (std::size_t L = 0; L < Table.size(); ++L) {
-    Expected<CompiledModule> CM = compileModule(Src, Table[L], Unscheduled);
+    Expected<CompiledModule> CM = compileModule(Src, Table[L]);
     if (!CM) {
       const Status &S = CM.status();
       PS.CompileError = S.code() == ErrorCode::SourceError

@@ -104,9 +104,11 @@ struct CompiledModule {
 
 /// How compileModule builds, beyond what the level row fixes.
 struct CompileOptions {
-  /// Run the local list scheduler.  The oracles and sweeps build
-  /// unscheduled so their builds pair statement for statement; sldbc
-  /// and sldbd schedule.
+  /// Run the local list scheduler.  Every build a user debugs or a check
+  /// judges schedules.  The one unscheduled build is the lockstep
+  /// oracles' reference (compileLockstepPair's O0 row): keeping it
+  /// independent of the scheduler is what lets an oracle at the O0 row
+  /// catch a scheduler that breaks statement order.
   bool Schedule = true;
   /// Arena for the IR and machine code (batch and service loads); null
   /// lets the modules own theirs.  When it has a limit, the budget is

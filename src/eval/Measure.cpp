@@ -18,11 +18,8 @@ namespace {
 
 /// Builds a benchmark program at \p Level.  Benchmark sources ship with
 /// the library, so a failure is a library bug.
-CompiledModule mustBuild(const BenchProgram &P, const LevelSpec &Level,
-                         bool Schedule = true) {
-  CompileOptions CO;
-  CO.Schedule = Schedule;
-  Expected<CompiledModule> CM = compileModule(P.Source, Level, CO);
+CompiledModule mustBuild(const BenchProgram &P, const LevelSpec &Level) {
+  Expected<CompiledModule> CM = compileModule(P.Source, Level);
   if (!CM)
     sldb_unreachable(("benchmark program failed to build: " +
                       std::string(P.Name) + " at " + Level.Name + "\n" +
@@ -158,7 +155,7 @@ CoverageCounts sldb::measureCoverage(const std::vector<BenchProgram> &Corpus,
   CoverageCounts CC;
   CC.Level = Level.Name;
   for (const BenchProgram &P : Corpus)
-    countBuild(mustBuild(P, Level, MO.Schedule).MM, CC,
+    countBuild(mustBuild(P, Level).MM, CC,
                /*EnableRecovery=*/true, MO.DegradeAll);
   return CC;
 }
@@ -232,8 +229,7 @@ std::string sldb::renderConservatismReport(
 CodeQuality sldb::measureCodeQuality(const BenchProgram &P,
                                      std::uint64_t Fuel) {
   CodeQuality Q;
-  CompiledModule CM0 =
-      mustBuild(P, levelSpec(PipelineLevel::O0), /*Schedule=*/false);
+  CompiledModule CM0 = mustBuild(P, levelSpec(PipelineLevel::O0));
   CompiledModule CM2 = mustBuild(P, levelSpec(PipelineLevel::O2));
 
   Machine V0(CM0.MM, Fuel), V2(CM2.MM, Fuel);

@@ -156,11 +156,6 @@ void countBuild(const MachineModule &MM, CoverageCounts &CC,
 
 /// Knobs orthogonal to the level itself.
 struct CoverageOptions {
-  /// Schedule instructions in codegen.  The cross-level sweep turns this
-  /// off so its statically-classified builds are the same builds the
-  /// lockstep oracle judges (fuzz/Oracle.cpp compiles with Schedule off).
-  bool Schedule = true;
-
   /// Force every classifier into degraded mode (the annotation-failure
   /// fail-safe): verdicts must stay conservative, so the counts land in
   /// Degraded and never in Current/Recovered.

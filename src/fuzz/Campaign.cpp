@@ -214,7 +214,7 @@ CampaignResult sldb::runCampaign(const CampaignConfig &C) {
     ++R.Runs;
     if (M.CompileFail) {
       ++R.FailedCompiles;
-      R.Failures.push_back(std::move(*M.F));
+      A.add(std::move(*M.F), C.FailureDir);
       return false; // The other mode cannot compile either.
     }
     R.Stops += M.Stops;

@@ -83,9 +83,9 @@ struct LockstepOptions {
   /// pipeline whose statement structure can still be paired one-to-one:
   /// everything except loop peeling and unrolling, which duplicate
   /// statements and break the syntactic pairing (same restriction as the
-  /// NeverMisleads suite).  Scheduling is likewise off — endangerment
-  /// from instruction scheduling is the authors' PLDI'93 paper, out of
-  /// scope here (paper §1.3).
+  /// NeverMisleads suite).  The build is scheduled, like every build
+  /// sldbc and sldbd produce; the scheduler keeps each statement's
+  /// instructions together, so the stops still pair one-to-one.
   OptOptions Opts = lockstepOpts();
 
   /// Promote source variables to registers in the optimized build
@@ -137,9 +137,10 @@ struct LockstepResult {
 };
 
 /// The two builds a lockstep oracle compares: the ground truth (the O0
-/// row, unscheduled, built with fault injection suspended so an armed
-/// fault only ever hits the build under test) and the build under test
-/// (\p Opts / \p Promote, unscheduled).
+/// row, unscheduled so it does not depend on the scheduler under test,
+/// built with fault injection suspended so an armed fault only ever hits
+/// the build under test) and the build under test (\p Opts / \p Promote,
+/// scheduled like the builds users debug).
 struct LockstepBuilds {
   CompiledModule Oracle;
   CompiledModule Opt;

@@ -105,7 +105,7 @@ StepCampaignResult sldb::runStepCampaign(const StepCampaignConfig &C) {
     ++R.Runs;
     if (S.CompileFail) {
       ++R.FailedCompiles;
-      R.Failures.push_back(std::move(*S.F));
+      A.add(std::move(*S.F), C.FailureDir);
       return false; // The other mode cannot compile either.
     }
     R.CappedRuns += S.Capped;

@@ -8,6 +8,8 @@
 #include "codegen/MachineVerifier.h"
 #include "codegen/RegAlloc.h"
 #include "codegen/Scheduler.h"
+#include "eval/Levels.h"
+#include "fuzz/ProgramGen.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interp.h"
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace sldb;
@@ -332,6 +335,61 @@ TEST(Scheduler, PreservesSemantics) {
     Machine VM(MM);
     ASSERT_EQ(VM.run(), StopReason::Exited);
     EXPECT_EQ(VM.outputText(), "1400\n");
+  }
+}
+
+namespace {
+
+/// One block's instructions as maximal runs of equal Stmt, each run's
+/// instructions rendered and sorted.
+using StmtRuns = std::vector<std::pair<StmtId, std::vector<std::string>>>;
+
+StmtRuns stmtRuns(const MachineBlock &B, const MachineFunction &F,
+                  const ProgramInfo *Info) {
+  StmtRuns Runs;
+  for (const MInstr &I : B.Insts) {
+    if (Runs.empty() || Runs.back().first != I.Stmt)
+      Runs.push_back({I.Stmt, {}});
+    Runs.back().second.push_back(printMInstr(I, F, Info));
+  }
+  for (auto &Run : Runs)
+    std::sort(Run.second.begin(), Run.second.end());
+  return Runs;
+}
+
+} // namespace
+
+TEST(Scheduler, KeepsEachStatementWhole) {
+  // The scheduler reorders within a statement only: every block keeps
+  // its sequence of statements, and each statement its instructions.
+  for (const char *Level : {"O0", "O2nl-frame", "O2nl", "O2"}) {
+    const LevelSpec &L = *findLevel(Level);
+    for (bool Alias : {false, true}) {
+      GenOptions G;
+      G.Alias = Alias;
+      for (std::uint32_t Seed = 1; Seed <= 200; ++Seed) {
+        SCOPED_TRACE(std::string(Level) + (Alias ? " alias" : "") +
+                     " seed " + std::to_string(Seed));
+        DiagnosticEngine Diags;
+        auto M = compileToIR(generateProgram(Seed, G), Diags);
+        ASSERT_TRUE(M) << Diags.str();
+        ASSERT_TRUE(
+            runPipelineEx(*M, L.Opts, PipelineConfig::fromEnvironment()).ok());
+        CodegenOptions CG;
+        CG.PromoteVars = L.Promote;
+        MachineModule MM = selectModule(*M, CG);
+        for (MachineFunction &F : MM.Funcs) {
+          std::vector<StmtRuns> Before;
+          for (const MachineBlock &B : F.Blocks)
+            Before.push_back(stmtRuns(B, F, MM.Info));
+          scheduleFunction(F);
+          for (std::size_t BI = 0; BI < F.Blocks.size(); ++BI)
+            ASSERT_EQ(stmtRuns(F.Blocks[BI], F, MM.Info), Before[BI])
+                << "block " << BI << " of\n"
+                << printMachineFunction(F, MM.Info);
+        }
+      }
+    }
   }
 }
 

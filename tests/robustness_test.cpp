@@ -498,3 +498,31 @@ TEST(Robustness, VerifyEachReachesTheDefaultBuild) {
   EXPECT_GT(std::strtoull(Out.c_str() + At + Key.size(), nullptr, 10), 0u)
       << Out;
 }
+
+//===----------------------------------------------------------------------===//
+// sldbc: the scheduled build users debug keeps statement order
+//===----------------------------------------------------------------------===//
+
+TEST(Robustness, SldbcBreakpointSeesEarlierStatementsComplete) {
+  // At the second stop at statement 15 (i0 = 1), v2 = 7 + 1 * 8.
+  const std::string In =
+      std::string(" '") + SLDB_INPUT_DIR + "/sched_stmt_order.mc' </dev/null";
+  for (const char *Level : {"-O0", "--level=O2nl-frame"}) {
+    std::string Out;
+    ASSERT_EQ(captureSldbc(std::string(Level) +
+                               " --debug --cmd 'b main 15' --cmd run"
+                               " --cmd c --cmd scope" +
+                               In,
+                           Out),
+              0)
+        << Out;
+    std::size_t Scope = Out.find("(sldbc) scope");
+    ASSERT_NE(Scope, std::string::npos) << Out;
+    EXPECT_NE(Out.find("  v2         current     = 15\n", Scope),
+              std::string::npos)
+        << Level << ":\n"
+        << Out;
+  }
+  std::string Out;
+  EXPECT_EQ(captureSldbc("--no-schedule" + In, Out), 2) << Out;
+}

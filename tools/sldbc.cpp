@@ -93,7 +93,6 @@ struct Options {
   const LevelSpec *Level = &levelSpec(PipelineLevel::O2);
   bool NamedLevel = false; ///< Level came from --level=NAME.
   bool NoPromote = false;  ///< -O2 --no-promote builds O2-frame.
-  bool Schedule = true;
   bool SweepLevels = false;
   bool TimePasses = false;
   bool PassStats = false;
@@ -115,7 +114,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: sldbc [--emit=ir|ir-opt|asm|stmts|run] [-O0|-O2]\n"
                "             [--level=NAME] [--sweep-levels] [--batch DIR]\n"
-               "             [--no-promote] [--no-schedule] [--debug]\n"
+               "             [--no-promote] [--debug]\n"
                "             [--time-passes] [--pass-stats] [--verify-each]\n"
                "             [--trace-json=FILE] [--debug-info=FILE|-]\n"
                "             [--stats] [--degrade-all]\n"
@@ -153,8 +152,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.BatchDir = Argv[I];
     } else if (A == "--no-promote") {
       Opts.NoPromote = true;
-    } else if (A == "--no-schedule") {
-      Opts.Schedule = false;
     } else if (A == "--time-passes") {
       Opts.TimePasses = true;
     } else if (A == "--pass-stats") {
@@ -543,7 +540,6 @@ int runBatch(const Options &Opts) {
     }
     {
       CompileOptions CO;
-      CO.Schedule = Opts.Schedule;
       CO.A = &BatchArena;
       Expected<CompiledModule> CM = compileModule(Buf.str(), *Opts.Level, CO);
       std::string Err;
@@ -637,7 +633,6 @@ int main(int Argc, char **Argv) {
   }
 
   CompileOptions CO;
-  CO.Schedule = Opts.Schedule;
   CO.Config.TimePasses |= Opts.TimePasses;
   CO.Config.VerifyEach |= Opts.VerifyEach;
   PipelineStats PassStats;
