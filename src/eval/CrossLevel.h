@@ -68,9 +68,9 @@ struct ProgramSweep {
   std::vector<AvailRegression> Regressions;
 };
 
-/// Compiles and classifies \p Src at every level.  Codegen runs with
-/// scheduling off so these are byte-for-byte the builds the lockstep
-/// oracle judges.  Never asserts: frontend/pipeline failures land in
+/// Compiles and classifies \p Src at every level: the builds
+/// `sldbc --level` produces, byte-for-byte the builds the lockstep oracle
+/// judges.  Never asserts: frontend/pipeline failures land in
 /// CompileError.
 ProgramSweep sweepProgram(std::string_view Name, std::string_view Src);
 

@@ -72,12 +72,10 @@ const char *Fig4 = R"(
   }
 )";
 
-/// The O0 row, unscheduled: every statement keeps its own code.
+/// The O0 row: every statement keeps its own code.
 CompiledModule buildO0(std::string_view Src) {
-  CompileOptions Unscheduled;
-  Unscheduled.Schedule = false;
   Expected<CompiledModule> CM =
-      compileModule(Src, levelSpec(PipelineLevel::O0), Unscheduled);
+      compileModule(Src, levelSpec(PipelineLevel::O0));
   EXPECT_TRUE(CM.ok()) << CM.status().str();
   return CM ? std::move(*CM) : CompiledModule();
 }
